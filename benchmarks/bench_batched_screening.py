@@ -24,16 +24,13 @@ and appends the numbers to ``results/BENCH_engine.json``.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.faults import exhaustive_fault_dictionary
 from repro.reporting import render_table
 from repro.testgen.execution import TestExecutor
 
-from conftest import RESULTS_DIR
-
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
 
 #: Acceptance floor on the bridging-family screening speedup.
 MIN_SPEEDUP = 5.0
@@ -116,21 +113,6 @@ def _compare_paths(macro, configuration, faults):
     }
 
 
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
-
-
 def bench_batched_screening(iv_macro):
     """Batched SMW screening vs per-fault overlay Newton, steady state."""
     circuit = iv_macro.circuit
@@ -151,7 +133,7 @@ def bench_batched_screening(iv_macro):
         "bridging_family": bridging,
         "full_dictionary": dictionary,
     }
-    _emit_record(record)
+    emit_record(record)
 
     rows = [
         [name,

@@ -24,7 +24,6 @@ the same invariants in seconds.
 from __future__ import annotations
 
 import argparse
-import json
 import tempfile
 import time
 from pathlib import Path
@@ -32,29 +31,12 @@ from pathlib import Path
 from repro.reporting import render_table
 from repro.scenarios import load_spec, run_campaign, summarize_manifest
 
-# Resolved locally (not via conftest) so the file also runs headless as
-# a plain script in environments without pytest — CI's smoke step.
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
+
 CAMPAIGNS = Path(__file__).resolve().parent / "campaigns"
 
 #: Acceptance floor of the full run.
 MIN_CELLS = 100
-
-
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
 
 
 def _run_bench(spec_path: Path, *, jobs: int, smoke: bool) -> dict:
@@ -123,7 +105,7 @@ def main() -> None:
     args = parser.parse_args()
     spec_path = CAMPAIGNS / ("smoke.toml" if args.smoke else "full.toml")
     record = _run_bench(spec_path, jobs=args.jobs, smoke=args.smoke)
-    _emit_record(record)
+    emit_record(record)
     print(f"record appended to {BENCH_RECORD_PATH}")
 
 

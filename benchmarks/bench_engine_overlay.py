@@ -20,7 +20,6 @@ performance trajectory is recorded per run.
 
 from __future__ import annotations
 
-import json
 import time
 
 from repro.analysis import CompiledCircuit, SimulationEngine
@@ -29,9 +28,7 @@ from repro.faults import exhaustive_fault_dictionary
 from repro.reporting import render_table
 from repro.testgen.procedures import DCProcedure, Probe, StepProcedure
 
-from conftest import RESULTS_DIR
-
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
 
 #: Acceptance floor on per-fault-evaluation speedup (overlay vs legacy).
 MIN_SPEEDUP = 3.0
@@ -100,21 +97,6 @@ def _compare_paths(circuit, options, procedure, faults, param_points):
     }
 
 
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
-
-
 def bench_engine_overlay_vs_legacy(iv_macro):
     """Overlay vs legacy per-fault evaluation over the 55-fault dictionary."""
     circuit = iv_macro.circuit
@@ -147,7 +129,7 @@ def bench_engine_overlay_vs_legacy(iv_macro):
         "dc": dc,
         "step": step,
     }
-    _emit_record(record)
+    emit_record(record)
 
     rows = [
         [name,

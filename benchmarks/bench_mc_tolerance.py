@@ -24,18 +24,13 @@ no speedup floor — that still pins the zero-mismatch contract.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.reporting import render_table
 from repro.tolerance import screen_dictionary_montecarlo
 
-# Resolved locally (not via conftest) so the file also runs headless as
-# a plain script in environments without pytest — CI's smoke step.
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
 
 
 def fast_mode() -> bool:
@@ -57,21 +52,6 @@ VERIFY_SAMPLES = 16
 #: Scalar-path timing points; the marginal cost per sample comes from
 #: the difference, so the anchors' one-time cost cancels.
 SCALAR_LO, SCALAR_HI = 16, 48
-
-
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
 
 
 def _timed_screen(macro, configuration, faults, vector, *, n_samples,
@@ -152,7 +132,7 @@ def _run_bench(macro, *, n_samples, verify_samples, scalar_lo, scalar_hi,
         "verify_samples": verify_samples,
         "verdict_mismatches": len(mismatches),
     }
-    _emit_record(record)
+    emit_record(record)
 
     title = "Vectorized Monte Carlo tolerance screening"
     if smoke:

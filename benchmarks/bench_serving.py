@@ -29,9 +29,7 @@ that still pins every acceptance criterion.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
-from pathlib import Path
 
 from repro.reporting import render_table
 from repro.serve import (
@@ -41,10 +39,7 @@ from repro.serve import (
     VerdictCache,
 )
 
-# Resolved locally (not via conftest) so the file also runs headless as
-# a plain script in environments without pytest — CI's smoke step.
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
 
 #: Acceptance floor: warm-cache vs cold single-request throughput.
 MIN_SPEEDUP = 10.0
@@ -156,21 +151,6 @@ def _coalesce_phase(macro, configuration, n_clients):
         door.close()
 
 
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
-
-
 def _run_bench(macro, configuration, *, cold_requests=COLD_REQUESTS,
                warm_requests=WARM_REQUESTS,
                coalesce_clients=COALESCE_CLIENTS,
@@ -213,7 +193,7 @@ def _run_bench(macro, configuration, *, cold_requests=COLD_REQUESTS,
     record["warm_engine_speedup"] = (
         record["warm_engine"]["verdicts_per_sec"]
         / max(record["cold"]["verdicts_per_sec"], 1e-12))
-    _emit_record(record)
+    emit_record(record)
 
     rows = [[name,
              record[name]["requests"],

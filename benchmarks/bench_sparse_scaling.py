@@ -31,18 +31,15 @@ dense-only and checks nothing but its own plumbing.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
 
 from repro.analysis.backend import backend_override, sparse_available
 from repro.macros import ActiveFilterMacro
 from repro.reporting import render_table
 from repro.testgen.execution import TestExecutor
 
-RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-BENCH_RECORD_PATH = RESULTS_DIR / "BENCH_engine.json"
+from _record import BENCH_RECORD_PATH, emit_record
 
 #: Ladder sizes of the full sweep (sections -> 2N+3 unknowns).
 FULL_SECTIONS = (60, 125, 250, 500, 1000)
@@ -66,21 +63,6 @@ MIN_SPEEDUP = 5.0
 #: Acceptance ceiling on the sparse steady log-log cost slope
 #: (~linear; the dense batched solves approach 2-3).
 MAX_SPARSE_SLOPE = 1.5
-
-
-def _emit_record(record: dict) -> None:
-    """Append this run's record to results/BENCH_engine.json."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    history = []
-    if BENCH_RECORD_PATH.exists():
-        try:
-            history = json.loads(BENCH_RECORD_PATH.read_text())
-        except json.JSONDecodeError:
-            history = []
-    if not isinstance(history, list):
-        history = [history]
-    history.append(record)
-    BENCH_RECORD_PATH.write_text(json.dumps(history, indent=1))
 
 
 def _screen_size(macro, faults, mode, n_points):
@@ -200,7 +182,7 @@ def _run_bench(sections, n_points, *, smoke=False, min_speedup=None,
             cells[-1].get("cold_speedup") if have_sparse else None,
         "verdict_mismatches": mismatch_total if have_sparse else None,
     }
-    _emit_record(record)
+    emit_record(record)
 
     title = "Sparse-vs-dense screening scaling (active-filter ladder)"
     if smoke:

@@ -352,12 +352,6 @@ class BatchedOverlaySolver:
         self._stack_cache: dict[tuple, _StampStack] = {}
         #: Subclasses may permit stamp-free columns (identity Woodbury).
         self._allow_empty_stamps = False
-        # Per-fault warm memory at THIS stimulus.  Engine warm-start
-        # slots are shared across stimuli, so on alternating stimulus
-        # points they always hold the *other* point's solution; the
-        # solver is pinned to one (base, stimulus) pair and can remember
-        # each fault's own converged solution here instead.
-        self._warm_memory: dict[tuple, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # batched nonlinear assembly
@@ -530,17 +524,15 @@ class BatchedOverlaySolver:
                              1.0)
         return dx * scale
 
-    def _stack_for(self, stamp_sets,
-                   fault_keys: tuple[tuple, ...] | None = None, *,
+    def _stack_for(self, stamp_sets, *,
                    woodbury: bool = True) -> _StampStack:
         """Stamp stack for *stamp_sets*, LRU-cached on stamp content.
 
         A cached Woodbury-capable stack satisfies any request; a
         residual-only request builds (and caches) the light variant.
         """
-        if fault_keys is None:
-            fault_keys = tuple(
-                tuple(map(tuple, stamps)) for stamps in stamp_sets)
+        fault_keys = tuple(
+            tuple(map(tuple, stamps)) for stamps in stamp_sets)
         stack = self._stack_cache.get(fault_keys)
         if stack is None or (woodbury and not stack.woodbury):
             stack = _StampStack(self.compiled, stamp_sets,
@@ -553,18 +545,12 @@ class BatchedOverlaySolver:
         self._stack_cache[fault_keys] = stack
         return stack
 
-    def _remember(self, fault_key: tuple, x: np.ndarray) -> None:
-        """Store one fault's converged solution (bounded memory)."""
-        if len(self._warm_memory) >= 4096:
-            self._warm_memory.pop(next(iter(self._warm_memory)))
-        self._warm_memory[fault_key] = x
-
     # ------------------------------------------------------------------
     # screening driver
     # ------------------------------------------------------------------
     def screen(self, stamp_sets: Sequence[Sequence[tuple[str, str, float]]],
                warm: Sequence[np.ndarray | None] | None = None,
-               *, memory: bool = True) -> list[ScreenedSolution]:
+               ) -> list[ScreenedSolution]:
         """Screen one stamp set per fault; returns one solution each.
 
         Stamp tuples are ``(node_a, node_b, conductance)`` exactly as
@@ -579,31 +565,17 @@ class BatchedOverlaySolver:
                 multi-stable circuits.  ``None`` entries start from the
                 SMW linear solution (chord) / a cold start (Newton
                 confirm), exactly as a fresh per-fault solve would.
-            memory: when True (default) the solver reads and updates its
-                own per-fault solution memory at this stimulus, which
-                beats any caller-provided estimate.  Canonical-mode
-                callers (the serving layer) pass False so repeated
-                screens stay bitwise equal to the first one: the iterate
-                then depends only on *warm* and the stamps.
+                The solver keeps no solutions of its own, so the iterate
+                depends only on *warm* and the stamps.
         """
         n_faults = len(stamp_sets)
         if n_faults == 0:
             return []
-        fault_keys = tuple(
-            tuple(map(tuple, stamps)) for stamps in stamp_sets)
-        stack = self._stack_for(stamp_sets, fault_keys)
+        stack = self._stack_for(stamp_sets)
         warm_list = list(warm) if warm is not None else [None] * n_faults
         if len(warm_list) != n_faults:
             raise AnalysisError(
                 f"{len(warm_list)} warm estimates for {n_faults} faults")
-        # This solver's own memory of a fault's solution *at this
-        # stimulus* beats any caller-provided estimate (engine slots are
-        # shared across stimuli and trail by one stimulus change).
-        if memory:
-            for f, key in enumerate(fault_keys):
-                remembered = self._warm_memory.get(key)
-                if remembered is not None:
-                    warm_list[f] = remembered
         warmed = np.array([w is not None for w in warm_list], dtype=bool)
 
         # Stage 1 — SMW linear screen: one Woodbury application turns
@@ -681,16 +653,11 @@ class BatchedOverlaySolver:
                                              iterations)
             status[confirmed] = STATUS_CONFIRMED
 
-        solutions = [ScreenedSolution(
+        return [ScreenedSolution(
             x=x[:, f].copy(), status=str(status[f]),
             iterations=int(iterations[f]),
             linear_step=float(linear_step[f]))
             for f in range(n_faults)]
-        if memory:
-            for key, solution in zip(fault_keys, solutions):
-                if solution.converged:
-                    self._remember(key, solution.x)
-        return solutions
 
     def _newton_confirm(self, x: np.ndarray, stamp_sets, remaining,
                         iterations) -> np.ndarray:

@@ -138,10 +138,11 @@ class ScreenedObservation:
             ``"fallback"`` (per-fault robust overlay solve),
             ``"overlay"``/``"legacy"`` (procedures or fault types
             outside the screening protocol) or ``"error"``.
-        x: the converged solution vector for batched-path observations
-            (``None`` on the per-fault paths).  Canonical-mode callers
-            feed it back as the warm start of a follow-up confirm solve,
-            reproducing what a fresh engine's warm slot would hold.
+        x: the converged solution vector of ``"screened"`` and
+            ``"confirmed"`` observations (``None`` on the per-fault
+            paths).  Canonical-mode callers feed it back as the warm
+            start of a follow-up confirm solve, reproducing what a fresh
+            engine's warm slot would hold.
     """
 
     fault: FaultModel
@@ -357,13 +358,13 @@ class SimulationEngine:
         :meth:`simulate_fault` transparently.
 
         With ``canonical=True`` every history channel is cut: warm-start
-        slots are fresh per call, the solver's per-fault solution memory
-        is bypassed, and the solver itself is built from a cold Newton
-        start.  The result is then a pure function of (circuit, options,
-        stimulus, fault) — bitwise equal to the first screen of a brand
-        new engine, no matter what this engine served before.  Compiled
-        bases and factorized solvers are still reused (they are
-        themselves canonical); that reuse is the serving layer's whole
+        slots are fresh per call and the solver itself is built from a
+        cold Newton start.  The result is then a pure function of
+        (circuit, options, stimulus, faults) — bitwise equal to a brand
+        new engine's first screen of the same faults, no matter what
+        this engine served before.  Compiled bases and factorized
+        solvers are still reused (they are themselves canonical); that
+        reuse is the serving layer's and the sharded screens' whole
         speedup.
 
         A fault the robust fallback cannot simulate *at all* yields
@@ -405,8 +406,7 @@ class SimulationEngine:
                 slots.append(WarmStart() if canonical else
                              self.warm_slot(base_key, faults[i].fault_id))
             solutions = solver.screen(stamp_sets,
-                                      warm=[slot.x for slot in slots],
-                                      memory=not canonical)
+                                      warm=[slot.x for slot in slots])
             for i, slot, solution in zip(idxs, slots, solutions):
                 fault = faults[i]
                 if solution.converged:
@@ -442,11 +442,7 @@ class SimulationEngine:
             _LOG.warning("screen fallback failed (%s): %s -> unsimulatable",
                          fault.cache_key, exc)
             return ScreenedObservation(fault, None, "error")
-        # A caller-provided (canonical) slot holds the converged overlay
-        # solution after the solve — surface it so a follow-up confirm
-        # can warm-start exactly like the engine's own slot would.
-        x = warm.x if warm is not None else None
-        return ScreenedObservation(fault, raw, served, x=x)
+        return ScreenedObservation(fault, raw, served)
 
     def _screen_solver(self, base_key: str, base: CompiledCircuit,
                        procedure, params: Mapping[str, float], *,

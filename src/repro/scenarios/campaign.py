@@ -19,14 +19,15 @@ through the same pre-flight-gated pipeline:
    default, cheap mode) or run full Fig. 6 *generation*
    (``mode = "generate"``, for small campaigns).
 
-Determinism contract: cells fan out across worker processes grouped by
-:func:`repro.hashing.stable_index` of their scenario id — the grouping
-depends on the id alone, every cell runs its own shard loop with
-``max_workers=1``, and records are written in spec-expansion order.
-The manifest is therefore a pure function of the spec: ``n_jobs``
-changes wall-clock time only, and the test suite pins the n_jobs=1 vs
-n_jobs=4 manifests bitwise.  Records carry no timestamps or host
-details for the same reason.
+Determinism contract: every cell builds all of its own state (macro,
+dictionary, executors), so a record depends on the cell alone.  Cells
+fan out one per task over :func:`repro.testgen.sharding.fan_out`, each
+cell screens its shards in-process (``max_workers=1``, so the two
+levels of parallelism never nest), and records are written in
+spec-expansion order.  The manifest is therefore a pure function of the
+spec: ``n_jobs`` changes wall-clock time only, and the test suite pins
+the n_jobs=1 vs n_jobs=4 manifests bitwise.  Records carry no
+timestamps or host details for the same reason.
 
 Resume: the manifest is JSON lines keyed by scenario id.  Re-running a
 campaign against an existing manifest skips every id already recorded
@@ -38,22 +39,21 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping, Sequence
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from repro._log import get_logger
 from repro.errors import ReproError, TestGenerationError
-from repro.hashing import content_digest, float_token, stable_index
+from repro.hashing import content_digest, float_token
 from repro.lint import lint_scenario
 from repro.scenarios.families import get_family
 from repro.scenarios.spec import CampaignCell, CampaignSpec, scenario_id
-from repro.testgen.sharding import screen_dictionary_sharded
+from repro.testgen.sharding import fan_out, screen_dictionary_sharded
 
 __all__ = [
     "CampaignResult",
     "CellRecord",
-    "DEFAULT_CELL_GROUPS",
     "read_manifest",
     "run_campaign",
     "run_cell",
@@ -61,12 +61,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("scenarios.campaign")
-
-#: Fixed cell-grouping fan-out.  Like the fault-shard count this is
-#: deliberately decoupled from ``n_jobs``: group membership is
-#: content-addressed on the scenario id, so the partition (and with it
-#: every record) is identical no matter how many workers serve it.
-DEFAULT_CELL_GROUPS = 16
 
 #: Per-cell fault-dictionary shard count (kept small: campaign cells
 #: already parallelize across the pool, each cell screens serially).
@@ -292,17 +286,14 @@ def _cell_descriptor(cell: CampaignCell) -> tuple:
             cell.dictionary)
 
 
-def _run_cell_group(descriptors: Sequence[tuple],
-                    mode: str) -> list[CellRecord]:
-    """Worker-side entry point: run one content-addressed cell group."""
-    records = []
-    for family_name, parameters, corner, dictionary in descriptors:
-        variant = get_family(family_name).variant(dict(parameters))
-        cell = CampaignCell(
-            scenario_id=scenario_id(variant, corner, dictionary),
-            variant=variant, corner=corner, dictionary=dictionary)
-        records.append(run_cell(cell, mode))
-    return records
+def _run_descriptor(descriptor: tuple, mode: str) -> CellRecord:
+    """Worker-side entry point: rebuild one cell and run it."""
+    family_name, parameters, corner, dictionary = descriptor
+    variant = get_family(family_name).variant(dict(parameters))
+    cell = CampaignCell(
+        scenario_id=scenario_id(variant, corner, dictionary),
+        variant=variant, corner=corner, dictionary=dictionary)
+    return run_cell(cell, mode)
 
 
 def run_campaign(
@@ -311,7 +302,6 @@ def run_campaign(
     *,
     n_jobs: int = 1,
     resume: bool = False,
-    cell_groups: int = DEFAULT_CELL_GROUPS,
 ) -> CampaignResult:
     """Run every cell of *spec*, appending records to the manifest.
 
@@ -323,12 +313,7 @@ def run_campaign(
             bitwise independent of this value.
         resume: skip cells whose scenario ids the manifest already
             records and append only the missing ones.
-        cell_groups: content-addressed group count (fixed partition;
-            not a tuning knob for parallelism — use *n_jobs*).
     """
-    if cell_groups < 1:
-        raise TestGenerationError(
-            f"cell_groups must be >= 1, got {cell_groups}")
     cells = spec.cells()
     done: dict[str, CellRecord] = {}
     if resume and manifest_path is not None:
@@ -341,29 +326,8 @@ def run_campaign(
     _LOG.info("campaign %s: %d cells (%d pending, %d already recorded)",
               spec.name, len(cells), len(pending), len(skipped))
 
-    groups: list[list[CampaignCell]] = [[] for _ in range(cell_groups)]
-    for cell in pending:
-        groups[stable_index(cell.scenario_id, cell_groups)].append(cell)
-    work = [group for group in groups if group]
-
-    n_jobs = max(1, min(n_jobs, len(work))) if work else 1
-    if n_jobs == 1:
-        group_results = [_run_cell_group(
-            [_cell_descriptor(c) for c in group], spec.mode)
-            for group in work]
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            futures = [pool.submit(_run_cell_group,
-                                   [_cell_descriptor(c) for c in group],
-                                   spec.mode)
-                       for group in work]
-            group_results = [f.result() for f in futures]
-
-    by_id: dict[str, CellRecord] = {}
-    for records in group_results:
-        for record in records:
-            by_id[record.scenario_id] = record
-    ordered = tuple(by_id[c.scenario_id] for c in pending)
+    ordered = tuple(fan_out(partial(_run_descriptor, mode=spec.mode),
+                            [_cell_descriptor(c) for c in pending], n_jobs))
 
     path = None
     if manifest_path is not None:

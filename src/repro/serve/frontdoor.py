@@ -9,12 +9,16 @@ join the group; reaching ``max_batch`` unique faults flushes early.
 One flush = one batched SMW screen of the union of requested faults,
 served from the pooled engine's cached factorization when warm.
 
-Correctness leans on two proven properties: canonical screens are
-**batch-composition independent** (a fault's verdict is bitwise equal
-whether screened alone or inside any union), and **history free**
-(bitwise equal to a fresh executor's first screen).  So coalescing and
-caching are pure wall-clock optimizations — every response is
-bit-for-bit what a cold :class:`TestExecutor` would have produced.
+Correctness leans on two properties.  Canonical screens are **history
+free**: a batch screens to the same bits as a fresh executor's first
+screen of that batch.  And **batch composition never changes a
+verdict**: which faults share a batch can move ``S_f`` in its last bits
+(a one-column solve takes a different BLAS kernel than the same column
+inside a wider batch), but ``detected`` is identical and
+``|delta S_f| <= 1e-11`` (``tests/serve/test_equivalence.py``).  So
+coalescing and caching are wall-clock optimizations: every response
+carries the verdict a cold :class:`TestExecutor` would have produced,
+bit for bit whenever the flush screened the same batch.
 
 The verdict cache gives single-flight semantics on top: a fault
 screened for one waiter is a cache hit for every later one, within and

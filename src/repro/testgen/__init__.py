@@ -11,7 +11,8 @@ Layers, bottom-up:
 * :mod:`~repro.testgen.tps` — tps-graphs and hard/soft impact regions;
 * :mod:`~repro.testgen.generator` — the Fig. 6 generation algorithm;
 * :mod:`~repro.testgen.sharding` — deterministic dictionary sharding and
-  replicated parallel execution.
+  the package's one process fan-out (one executor or testbench per
+  worker process).
 """
 
 from repro.testgen.configuration import (
@@ -47,6 +48,7 @@ from repro.testgen.sharding import (
     DEFAULT_SHARD_COUNT,
     ShardedScreenResult,
     ShardResult,
+    fan_out,
     mc_screen_dictionary_sharded,
     screen_dictionary_sharded,
     shard_assignments,
@@ -95,6 +97,7 @@ __all__ = [
     "generate_test_for_fault",
     "generate_tests",
     "DEFAULT_SHARD_COUNT",
+    "fan_out",
     "shard_index",
     "shard_assignments",
     "shard_faults",

@@ -26,13 +26,14 @@ reproduces the pre-[6]-improvement behaviour and exists for the
 efficiency ablation benchmark; results are equivalent whenever the
 critical impact truly lies in the soft region.
 
-Generation parallelizes over deterministic dictionary *shards*
-(:mod:`repro.testgen.sharding`) with ``ProcessPoolExecutor``
-(``n_jobs``): each worker rebuilds its own testbench from the pickled
-circuit and configurations, shard membership is content-addressed on
-fault ids (stable across runs and worker counts), and one task per
-shard amortizes inter-process traffic while keeping each worker's
-compiled bases and warm-start slots hot across its shard.
+Generation parallelizes over faults (``n_jobs``) through the package's
+one process fan-out, :func:`repro.testgen.sharding.fan_out`: each worker
+process builds one testbench from the pickled circuit and
+configurations and keeps its compiled bases and warm-start slots hot
+across every fault it takes.  Which worker takes which fault depends on
+timing, so warm histories differ from the in-process run's; the
+promised invariant is the verdicts (winning configuration, detection
+flags), in dictionary order either way.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from __future__ import annotations
 import json
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +55,7 @@ from repro.faults.dictionary import FaultDictionary
 from repro.optimize import brent_minimize, powell_minimize
 from repro.testgen.configuration import Test, TestConfiguration
 from repro.testgen.execution import MacroTestbench
+from repro.testgen.sharding import fan_out
 
 __all__ = [
     "GenerationSettings",
@@ -430,32 +432,8 @@ def generate_test_for_fault(
 
 
 # ----------------------------------------------------------------------
-# dictionary-level driver (optionally parallel, shard-granular)
+# dictionary-level driver (optionally parallel over faults)
 # ----------------------------------------------------------------------
-_WORKER_BENCH: MacroTestbench | None = None
-_WORKER_SETTINGS: GenerationSettings | None = None
-
-
-def _worker_init(circuit: Circuit,
-                 configurations: tuple[TestConfiguration, ...],
-                 options: SimOptions,
-                 settings: GenerationSettings) -> None:
-    global _WORKER_BENCH, _WORKER_SETTINGS
-    _WORKER_BENCH = MacroTestbench(circuit, configurations, options)
-    _WORKER_SETTINGS = settings
-
-
-def _worker_generate_shard(
-    shard: tuple[tuple[int, FaultModel], ...],
-) -> list[tuple[int, GeneratedTest]]:
-    """Generate every fault of one shard on this worker's testbench."""
-    assert _WORKER_BENCH is not None and _WORKER_SETTINGS is not None
-    return [(position,
-             generate_test_for_fault(_WORKER_BENCH, fault,
-                                     _WORKER_SETTINGS))
-            for position, fault in shard]
-
-
 def generate_tests(
     circuit: Circuit,
     configurations: Sequence[TestConfiguration],
@@ -463,7 +441,6 @@ def generate_tests(
     settings: GenerationSettings = GenerationSettings(),
     options: SimOptions = DEFAULT_OPTIONS,
     n_jobs: int = 1,
-    n_shards: int | None = None,
     preflight: str | None = None,
 ) -> GenerationResult:
     """Generate the best test for every fault in the dictionary.
@@ -474,13 +451,9 @@ def generate_tests(
         faults: the fault dictionary to cover.
         settings: algorithm tunables.
         options: simulator options.
-        n_jobs: worker processes (1 = in-process, deterministic order is
-            preserved either way).
-        n_shards: dictionary partition size for the parallel path (see
-            :mod:`repro.testgen.sharding`; default
-            :data:`~repro.testgen.sharding.DEFAULT_SHARD_COUNT`, clamped
-            to the dictionary size).  Shard membership depends only on
-            fault ids and this count — never on ``n_jobs``.
+        n_jobs: worker processes, each with its own testbench (1 =
+            in-process on one testbench; results come back in
+            dictionary order either way).
         preflight: run the static lint gate (:mod:`repro.lint`) over
             the full (circuit, dictionary, configurations) scenario
             before any simulation.  ``None`` (default) skips it,
@@ -492,8 +465,6 @@ def generate_tests(
         :class:`GenerationResult` with one :class:`GeneratedTest` per
         fault, in dictionary order.
     """
-    from repro.testgen.sharding import DEFAULT_SHARD_COUNT, shard_assignments
-
     fault_list = tuple(faults)
     configurations = tuple(configurations)
 
@@ -511,34 +482,11 @@ def generate_tests(
                         stage="generate_tests pre-flight lint")
 
     started = time.monotonic()
-
-    if n_jobs <= 1:
-        testbench = MacroTestbench(circuit, configurations, options)
-        tests = tuple(generate_test_for_fault(testbench, fault, settings)
-                      for fault in fault_list)
-        total_sims = testbench.stats.total_simulations
-    else:
-        if n_shards is None:
-            n_shards = min(DEFAULT_SHARD_COUNT, len(fault_list)) or 1
-        shards: list[list[tuple[int, FaultModel]]] = [
-            [] for _ in range(n_shards)]
-        for position, (fault, index) in enumerate(
-                zip(fault_list, shard_assignments(fault_list, n_shards))):
-            shards[index].append((position, fault))
-        work = [tuple(shard) for shard in shards if shard]
-        with ProcessPoolExecutor(
-                max_workers=min(n_jobs, len(work)) or 1,
-                initializer=_worker_init,
-                initargs=(circuit, configurations, options,
-                          settings)) as pool:
-            ordered: list[GeneratedTest | None] = [None] * len(fault_list)
-            for pairs in pool.map(_worker_generate_shard, work):
-                for position, generated in pairs:
-                    ordered[position] = generated
-        tests = tuple(ordered)
-        total_sims = sum(t.n_simulations for t in tests)
-
+    tests = tuple(fan_out(
+        partial(generate_test_for_fault, settings=settings), fault_list,
+        n_jobs, setup=partial(MacroTestbench, circuit, configurations,
+                              options)))
     return GenerationResult(
         circuit_name=circuit.name, settings=settings, tests=tests,
-        total_simulations=total_sims,
+        total_simulations=sum(t.n_simulations for t in tests),
         wall_time_s=time.monotonic() - started)

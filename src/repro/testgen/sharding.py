@@ -1,4 +1,4 @@
-"""Deterministic fault-dictionary sharding and replicated execution.
+"""Deterministic fault-dictionary sharding and the package's process fan-out.
 
 Scaling fault simulation past one core is almost embarrassingly parallel:
 overlay bases derive deterministically from the nominal circuit, so a
@@ -12,22 +12,31 @@ serve the queue.
 Shard assignment is therefore **content-addressed**: a BLAKE2b digest of
 the fault's stable ``fault_id`` modulo the shard count.  It depends on
 nothing else — not enumeration order, not worker count, not hash
-randomization (``PYTHONHASHSEED`` does not reach ``hashlib``).
+randomization (``PYTHONHASHSEED`` does not reach ``hashlib``).  The
+shard count stays a parameter of the screening drivers because it fixes
+which faults share a batched solve, and batch composition can move
+``S_f`` in its last bits (never a verdict).
 
-Each shard is executed by a fresh :class:`~repro.testgen.execution.TestExecutor`
-(compiled bases, warm-start slots and caches all start empty), which
-makes shard results *bitwise independent* of which worker ran the shard
-and of how shards were interleaved — the determinism contract the test
-suite pins down.  Worker processes are plain ``concurrent.futures``
-pools; ``max_workers <= 1`` runs the same shard loop in-process.
+:func:`fan_out` is the one place work crosses processes: it runs a task
+over items, in-process for one worker or on a ``ProcessPoolExecutor``
+otherwise, and builds per-process state (an executor, a testbench) once
+per worker instead of once per item.  Sharded screens run every shard as
+a *canonical* screen (:meth:`TestExecutor.screen_faults` with
+``canonical=True``) on their process's one executor: compiled bases and
+factorized solvers are reused across shards, while every report stays a
+pure function of (circuit, configuration, vector, its shard's faults) —
+bitwise independent of which worker ran the shard and of what it ran
+before, the determinism contract the test suite pins down.
 """
 
 from __future__ import annotations
 
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, fields
+from functools import partial
 
 from repro._log import get_logger
 from repro.hashing import stable_index
@@ -40,7 +49,6 @@ from repro.testgen.configuration import TestConfiguration
 from repro.testgen.execution import ExecutorStats, TestExecutor
 from repro.testgen.sensitivity import SensitivityReport
 from repro.tolerance.montecarlo import (
-    FaultDetectionEstimate,
     MonteCarloScreenResult,
     MonteCarloStats,
     empirical_process_boxes,
@@ -50,6 +58,7 @@ from repro.tolerance.process import DEFAULT_PROCESS, ProcessVariation
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",
+    "fan_out",
     "shard_index",
     "shard_assignments",
     "shard_faults",
@@ -101,7 +110,8 @@ def shard_faults(faults: Sequence[FaultModel], n_shards: int,
 
 @dataclass(frozen=True)
 class ShardResult:
-    """One shard's screening output (what a worker sends back)."""
+    """One shard's screening output and the accounts it added to its
+    process's executor (what a worker sends back)."""
 
     shard: int
     fault_ids: tuple[str, ...]
@@ -144,18 +154,70 @@ class ShardedScreenResult:
                 f"no such fault in sharded result: {fault_id!r}") from None
 
 
-def _run_shard(circuit: Circuit, configuration: TestConfiguration,
-               options: SimOptions, vector: tuple[float, ...],
-               shard: int, faults: tuple[FaultModel, ...]) -> ShardResult:
-    """Screen one shard on a fresh executor (worker-side entry point)."""
-    executor = TestExecutor(circuit, configuration, options)
-    reports = executor.screen_faults(list(faults), list(vector))
+_WORKER_TASK: Callable | None = None
+
+
+def _bind(task: Callable, setup: Callable | None) -> Callable:
+    """*task* with this process's state bound as its first argument."""
+    return task if setup is None else partial(task, setup())
+
+
+def _start_worker(task: Callable, setup: Callable | None) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = _bind(task, setup)
+
+
+def _run_in_worker(item):
+    return _WORKER_TASK(item)
+
+
+def fan_out(task: Callable, items: Sequence, max_workers: int, *,
+            setup: Callable | None = None) -> list:
+    """Results of *task* over *items*, in input order.
+
+    The package's only process fan-out.  With *setup*, every process
+    that runs items first builds ``state = setup()`` once and then calls
+    ``task(state, item)`` per item, so an executor or a testbench serves
+    all of its process's items instead of being rebuilt for each;
+    without it the call is ``task(item)``.  One worker (or one item)
+    runs in-process; more run on a ``ProcessPoolExecutor`` whose workers
+    build their state at start-up and take items in input order as they
+    free up — *task*, *setup* and the items must therefore pickle
+    (module-level functions, classes and ``functools.partial`` of them
+    do).  *max_workers* is clamped to the item count.
+    """
+    items = list(items)
+    workers = max(1, min(max_workers, len(items)))
+    if workers == 1:
+        run = _bind(task, setup)
+        return [run(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_start_worker,
+                             initargs=(task, setup)) as pool:
+        return list(pool.map(_run_in_worker, items))
+
+
+def _since(stats, before):
+    """Counters of *stats* accrued after the snapshot *before*."""
+    return type(stats)(**{f.name: getattr(stats, f.name)
+                          - getattr(before, f.name) for f in fields(stats)})
+
+
+def _screen_shard(executor: TestExecutor,
+                  shard: tuple[int, tuple[FaultModel, ...]],
+                  vector: tuple[float, ...]) -> ShardResult:
+    """Canonical screen of one ``(index, faults)`` shard on the process's
+    executor, with the accounts this shard added to it."""
+    index, faults = shard
+    engine_before = copy(executor.engine.stats)
+    executor_before = copy(executor.stats)
+    reports = executor.screen_faults(faults, vector, canonical=True)
     return ShardResult(
-        shard=shard,
+        shard=index,
         fault_ids=tuple(f.fault_id for f in faults),
-        reports=tuple(reports),
-        engine_stats=executor.engine.stats,
-        executor_stats=executor.stats)
+        reports=reports,
+        engine_stats=_since(executor.engine.stats, engine_before),
+        executor_stats=_since(executor.stats, executor_before))
 
 
 def default_worker_count() -> int:
@@ -176,12 +238,14 @@ def screen_dictionary_sharded(
     """Screen a whole fault dictionary at one test point, sharded.
 
     The dictionary is partitioned with :func:`shard_faults`; each shard
-    runs batched SMW screening (:meth:`TestExecutor.screen_faults`) on a
-    replicated executor, serially in-process when ``max_workers <= 1``
-    or on a ``ProcessPoolExecutor`` otherwise.  Results and merged stats
-    are reassembled in dictionary order, so the output is a pure
+    is one canonical batched SMW screen
+    (:meth:`TestExecutor.screen_faults`) on the executor of the process
+    that runs it — one executor in-process when ``max_workers <= 1``,
+    one per worker otherwise (:func:`fan_out`).  Results and merged
+    stats are reassembled in dictionary order, so the reports are a pure
     function of (circuit, configuration, faults, vector, n_shards) — the
-    worker count only changes wall-clock time.
+    worker count only changes wall-clock time and the merged accounts
+    (each worker compiles and factorizes for itself).
 
     Args:
         circuit: nominal macro circuit (replicated to workers).
@@ -207,53 +271,28 @@ def screen_dictionary_sharded(
     vector_t = tuple(float(v) for v in vector)
     work = [(shard, members) for shard, members in enumerate(shards)
             if members]
-
     if max_workers is None:
         max_workers = default_worker_count()
-    max_workers = max(1, min(max_workers, len(work)))
-    _LOG.info("screening %d faults in %d shards on %d worker(s)",
+    _LOG.info("screening %d faults in %d shards on up to %d worker(s)",
               len(fault_list), n_shards, max_workers)
+    results = fan_out(
+        partial(_screen_shard, vector=vector_t), work, max_workers,
+        setup=partial(TestExecutor, circuit, configuration, options))
 
-    if max_workers == 1:
-        results = [_run_shard(circuit, configuration, options, vector_t,
-                              shard, members) for shard, members in work]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_run_shard, circuit, configuration,
-                                   options, vector_t, shard, members)
-                       for shard, members in work]
-            results = [f.result() for f in futures]
-
-    by_id: dict[str, SensitivityReport] = {}
+    by_id = {fault_id: report for result in results
+             for fault_id, report in zip(result.fault_ids, result.reports)}
     engine_stats = EngineStats()
     executor_stats = ExecutorStats()
     for result in results:
         engine_stats = engine_stats.merged(result.engine_stats)
         executor_stats = executor_stats.merged(result.executor_stats)
-        for fault_id, report in zip(result.fault_ids, result.reports):
-            by_id[fault_id] = report
     return ShardedScreenResult(
-        reports=tuple(by_id[f.fault_id] for f in fault_list),
-        fault_ids=tuple(f.fault_id for f in fault_list),
+        reports=tuple(by_id[fault_id] for fault_id in ids),
+        fault_ids=tuple(ids),
         n_shards=n_shards,
         shard_sizes=tuple(len(s) for s in shards),
         engine_stats=engine_stats,
         executor_stats=executor_stats)
-
-
-def _run_mc_shard(circuit: Circuit, configuration: TestConfiguration,
-                  options: SimOptions, vector: tuple[float, ...],
-                  faults: tuple[FaultModel, ...],
-                  mc_kwargs: dict) -> MonteCarloScreenResult:
-    """Monte Carlo screen of one shard (worker-side entry point).
-
-    The shard rebuilds the full process-sample batch from the shared
-    seed, so every shard scores the *same* manufactured devices — only
-    the fault subset differs.
-    """
-    return screen_dictionary_montecarlo(
-        circuit, configuration, list(faults), list(vector), options,
-        **mc_kwargs)
 
 
 def mc_screen_dictionary_sharded(
@@ -320,36 +359,25 @@ def mc_screen_dictionary_sharded(
             n_samples=n_samples, seed=seed, vectorized=vectorized)
     if n_shards is None:
         n_shards = min(DEFAULT_SHARD_COUNT, len(fault_list))
-    shards = shard_faults(fault_list, n_shards)
-    vector_t = tuple(float(v) for v in vector)
-    mc_kwargs = dict(variation=variation, n_samples=n_samples, seed=seed,
-                     boxes=boxes, confirm_margin=confirm_margin,
-                     vectorized=vectorized)
-    work = [members for members in shards if members]
-
+    work = [members for members in shard_faults(fault_list, n_shards)
+            if members]
     if max_workers is None:
         max_workers = default_worker_count()
-    max_workers = max(1, min(max_workers, len(work)))
-    _LOG.info("MC-screening %d faults x %d samples in %d shards on %d "
-              "worker(s)", len(fault_list), n_samples, n_shards,
+    _LOG.info("MC-screening %d faults x %d samples in %d shards on up to "
+              "%d worker(s)", len(fault_list), n_samples, n_shards,
               max_workers)
+    screen_shard = partial(
+        screen_dictionary_montecarlo, circuit, configuration,
+        vector=tuple(float(v) for v in vector), options=options,
+        variation=variation, n_samples=n_samples, seed=seed, boxes=boxes,
+        confirm_margin=confirm_margin, vectorized=vectorized)
+    results = fan_out(screen_shard, work, max_workers)
 
-    if max_workers == 1:
-        results = [_run_mc_shard(circuit, configuration, options, vector_t,
-                                 members, mc_kwargs) for members in work]
-    else:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_run_mc_shard, circuit, configuration,
-                                   options, vector_t, members, mc_kwargs)
-                       for members in work]
-            results = [f.result() for f in futures]
-
-    by_id: dict[str, FaultDetectionEstimate] = {}
+    by_id = {estimate.fault_id: estimate
+             for result in results for estimate in result.estimates}
     stats = MonteCarloStats()
     for result in results:
         stats = stats.merged(result.stats)
-        for estimate in result.estimates:
-            by_id[estimate.fault_id] = estimate
     first = results[0]
     return MonteCarloScreenResult(
         fault_ids=tuple(ids),

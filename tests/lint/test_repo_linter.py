@@ -215,6 +215,50 @@ class TestServeClockContract:
         assert linter.main(["--as-module", "repro.serve.pool"]) == 2
 
 
+class TestFanOutContract:
+    """repro.testgen.sharding is the only module that starts processes."""
+
+    TRIGGER = ("from concurrent.futures import ProcessPoolExecutor\n"
+               "def run_all(task, items):\n"
+               "    with ProcessPoolExecutor(max_workers=2) as pool:\n"
+               "        return list(pool.map(task, items))\n")
+    CLEAN = ("from repro.testgen.sharding import fan_out\n"
+             "def run_all(task, items):\n"
+             "    return fan_out(task, items, 2)\n")
+
+    def test_process_pool_outside_sharding_caught(self, linter, tmp_path,
+                                                  capsys):
+        code, output = run_on_snippet(
+            linter, tmp_path, self.TRIGGER, capsys,
+            as_module="repro.scenarios.campaign")
+        assert code == 1
+        assert "REPRO-FANOUT" in output
+        assert "concurrent.futures.ProcessPoolExecutor" in output
+
+    def test_alias_renamed_pool_still_caught(self, linter, tmp_path,
+                                             capsys):
+        code, output = run_on_snippet(
+            linter, tmp_path,
+            "import concurrent.futures as cf\n"
+            "pool = cf.ProcessPoolExecutor()\n",
+            capsys, as_module="repro.testgen.generator")
+        assert code == 1
+        assert "REPRO-FANOUT" in output
+
+    def test_sharding_module_is_the_exemption(self, linter, tmp_path,
+                                              capsys):
+        code, _ = run_on_snippet(
+            linter, tmp_path, self.TRIGGER, capsys,
+            as_module="repro.testgen.sharding")
+        assert code == 0
+
+    def test_fan_out_helper_is_clean(self, linter, tmp_path, capsys):
+        code, _ = run_on_snippet(
+            linter, tmp_path, self.CLEAN, capsys,
+            as_module="repro.scenarios.campaign")
+        assert code == 0
+
+
 class TestScoping:
     def test_sharding_seeds_are_reachable(self, linter):
         modules = linter.package_files()

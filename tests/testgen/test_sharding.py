@@ -3,8 +3,11 @@
 The sharding contract: shard membership is a pure function of
 (fault_id, n_shards) — stable across runs, machines and worker counts —
 and sharded results are bitwise independent of how many workers served
-the shards (each shard runs on a fresh replicated executor).
+the shards (each shard is a canonical screen on its process's one
+executor).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from repro.errors import TestGenerationError
 from repro.faults import BridgingFault
 from repro.testgen import (
     GenerationSettings,
+    fan_out,
     generate_tests,
     mc_screen_dictionary_sharded,
     screen_dictionary_sharded,
@@ -24,6 +28,40 @@ from repro.tolerance import (
     empirical_process_boxes,
     screen_dictionary_montecarlo,
 )
+
+
+class _Tally:
+    """Per-process state for the fan-out tests."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.seen = 0
+
+
+def _count(tally, item):
+    tally.seen += 1
+    return tally.pid, tally.seen, item
+
+
+class TestFanOut:
+    def test_in_process_builds_state_once(self):
+        results = fan_out(_count, range(5), 1, setup=_Tally)
+        assert results == [(os.getpid(), k + 1, k) for k in range(5)]
+
+    def test_workers_keep_input_order_and_their_state(self):
+        results = fan_out(_count, range(12), 2, setup=_Tally)
+        assert [item for _, _, item in results] == list(range(12))
+        last_seen: dict[int, int] = {}
+        for pid, seen, _ in results:
+            last_seen[pid] = max(last_seen.get(pid, 0), seen)
+        assert os.getpid() not in last_seen
+        assert len(last_seen) <= 2
+        # One state per worker process, never rebuilt per item.
+        assert sum(last_seen.values()) == 12
+
+    def test_without_setup_the_task_takes_the_item(self):
+        assert fan_out(abs, [-2, 3, -5], 2) == [2, 3, 5]
+        assert fan_out(abs, [], 4) == []
 
 
 class TestShardAssignment:
@@ -227,13 +265,13 @@ class TestMonteCarloSharding:
 class TestShardedGeneration:
     def test_sharded_generation_matches_serial(self, rc_macro,
                                                rc_generation):
-        """generate_tests over shards returns the same per-fault
-        assignments (order, winning configuration, detection flags) as
-        the serial driver."""
+        """generate_tests fanned out over two worker processes returns
+        the same per-fault assignments (order, winning configuration,
+        detection flags) as the serial driver."""
         sharded = generate_tests(
             rc_macro.circuit, rc_macro.test_configurations(),
             rc_macro.fault_dictionary(), GenerationSettings(),
-            rc_macro.options, n_jobs=2, n_shards=3)
+            rc_macro.options, n_jobs=2)
         assert len(sharded.tests) == len(rc_generation.tests)
         for serial_test, sharded_test in zip(rc_generation.tests,
                                              sharded.tests):

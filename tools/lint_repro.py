@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Repo-level AST linter enforcing the backend and determinism contracts.
+"""Repo-level AST linter enforcing the backend, fan-out and determinism
+contracts.
 
-Two rule families, both pure ``ast`` (no third-party imports, no code
+Three rule families, all pure ``ast`` (no third-party imports, no code
 execution):
 
 ``REPRO-LINALG``
@@ -13,6 +14,13 @@ execution):
     the backend operators (``static_operator`` / ``solve_dense`` / ...)
     so the dense/sparse dispatch policy and the
     :class:`SingularMatrixError` contract stay in one file.
+
+``REPRO-FANOUT``
+    ``concurrent.futures.ProcessPoolExecutor`` may only be constructed
+    in ``src/repro/testgen/sharding.py``.  Every process fan-out goes
+    through its ``fan_out`` helper, so per-process state (one executor
+    or testbench per worker), worker clamping and result ordering stay
+    in one function.
 
 ``REPRO-NONDET``
     Modules reachable from the sharded execution paths
@@ -77,6 +85,15 @@ BANNED_LINALG = {
     "scipy.linalg.inv",
     "scipy.sparse.linalg.splu",
     "scipy.sparse.linalg.spsolve",
+}
+
+#: The single module allowed to start worker processes.
+FANOUT_MODULE = "repro.testgen.sharding"
+
+#: Process-pool constructors banned outside the fan-out module.
+BANNED_FANOUT = {
+    "concurrent.futures.ProcessPoolExecutor",
+    "concurrent.futures.process.ProcessPoolExecutor",
 }
 
 #: Wall-clock reads banned in deterministic modules.  ``time.monotonic``
@@ -191,7 +208,7 @@ def dotted_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
     return ".".join(reversed(chain))
 
 
-def lint_file(path: Path, *, check_linalg: bool,
+def lint_file(path: Path, *, check_linalg: bool, check_fanout: bool,
               check_determinism: bool,
               check_serve_clock: bool = False) -> list[str]:
     """All rule violations in one file, formatted for printing."""
@@ -219,6 +236,11 @@ def lint_file(path: Path, *, check_linalg: bool,
                    f"src/repro/analysis/backend.py (solve_dense / "
                    f"static_operator) so dispatch and singular-matrix "
                    f"handling stay centralized")
+        if check_fanout and name in BANNED_FANOUT:
+            report(node, "REPRO-FANOUT",
+                   f"{name} outside {FANOUT_MODULE}; fan work out "
+                   f"through repro.testgen.sharding.fan_out so worker "
+                   f"state and result order stay in one function")
         if check_serve_clock and name in MONOTONIC_CLOCK:
             report(node, "REPRO-NONDET",
                    f"{name} in serving code outside "
@@ -308,7 +330,7 @@ def main(argv: list[str]) -> int:
         # this is the mode tests use to lint fixture snippets.
         # ``--as-module`` overrides the path-derived module name, so a
         # fixture can be linted with the scoping of any repro module
-        # (serve clock confinement, backend exemption).
+        # (serve clock confinement, backend and fan-out exemptions).
         for path in explicit:
             if not path.exists():
                 print(f"{path}: no such file", file=sys.stderr)
@@ -318,6 +340,7 @@ def main(argv: list[str]) -> int:
             problems.extend(lint_file(
                 path,
                 check_linalg=(name != BACKEND_MODULE),
+                check_fanout=(name != FANOUT_MODULE),
                 check_determinism=True,
                 check_serve_clock=(in_serve_package(name)
                                    and name != SERVE_CLOCK_MODULE)))
@@ -332,6 +355,7 @@ def main(argv: list[str]) -> int:
             problems.extend(lint_file(
                 modules[name],
                 check_linalg=(name != BACKEND_MODULE),
+                check_fanout=(name != FANOUT_MODULE),
                 check_determinism=(name in deterministic),
                 check_serve_clock=(in_serve_package(name)
                                    and name != SERVE_CLOCK_MODULE)))
@@ -342,7 +366,7 @@ def main(argv: list[str]) -> int:
     if problems:
         print(f"{len(problems)} contract violation(s)", file=sys.stderr)
         return 1
-    print("backend and determinism contracts hold")
+    print("backend, fan-out and determinism contracts hold")
     return 0
 
 
