@@ -25,6 +25,11 @@ override::
     REPRO_BACKEND=dense|sparse|auto      # default: auto
     REPRO_SPARSE_THRESHOLD=<unknowns>    # auto crossover, default 100
 
+A compiled circuit reads both once, when it compiles: its
+:class:`~repro.analysis.mna.StampPlan` stores the resolved kind, and
+every solve on that circuit (scalar Newton, ``factorize``, the batched
+solvers) uses it without calling :func:`select_backend` again.
+
 ``sparse`` degrades gracefully to dense when SciPy is absent — the
 package stays importable and functional on NumPy-only installs, and the
 CI matrix runs a scipy-less leg to prove it.
@@ -67,6 +72,7 @@ __all__ = [
     "SparseLU",
     "backend_mode",
     "backend_override",
+    "csc_from_pattern",
     "factorize_matrix",
     "select_backend",
     "solve_columns",
@@ -88,9 +94,14 @@ ENV_THRESHOLD = "REPRO_SPARSE_THRESHOLD"
 
 #: ``auto`` switches to sparse at this many unknowns.  Chosen well above
 #: the paper's macros (the IV-converter compiles to 14 unknowns) and
-#: below the zoo's filter family: LAPACK's dense constant factor wins
-#: comfortably until the ``n^2`` matvec / ``n^3`` factorization terms
-#: start to bite, around a hundred unknowns on current hardware.
+#: below the zoo's filter family.  It is not the measured crossover of
+#: the scalar Newton iteration: on the active-filter ladder (2 cores,
+#: single-threaded OpenBLAS) dense assembly + LAPACK beat the sparse
+#: path up to about 250 unknowns while the sparse path re-scanned a dense
+#: matrix into CSC every iteration, and up to about 155 unknowns with
+#: the stamp plan's fixed CSC pattern.  The threshold stays at 100
+#: because moving it switches circuits between LU implementations, which
+#: moves S_f in its last bits.
 DEFAULT_SPARSE_THRESHOLD = 100
 
 
@@ -221,9 +232,14 @@ class DenseLU:
 class SparseLU:
     """Sparse LU via CSC + SuperLU (``scipy.sparse.linalg.splu``).
 
-    Accepts a dense array or any SciPy sparse matrix; the dense->CSC
-    conversion is a single ``O(n^2)`` scan paid once per factorization,
-    negligible against the dense alternative's ``O(n^3)`` decomposition.
+    Accepts a dense array or any SciPy sparse matrix.  A dense array is
+    converted with one ``O(n^2)`` dense->CSC scan.  That scan is not
+    negligible when it is paid every Newton iteration: on a 106-unknown
+    filter it and the dense copy behind it took more time than SuperLU
+    itself.  So the scalar Newton loop hands over a CSC matrix assembled
+    straight on the stamp plan's pattern
+    (:meth:`~repro.analysis.mna.CompiledCircuit.newton_system`), and a
+    float CSC input is factorized as given, without another copy.
     SuperLU reports exact singularity as a ``RuntimeError`` and silently
     tolerates some degeneracies, so the constructor additionally checks
     the ``U`` factor's diagonal — the contract stays "singular raises
@@ -237,7 +253,9 @@ class SparseLU:
             raise AnalysisError(
                 "sparse backend requested but scipy.sparse is unavailable")
         if _scipy_sparse.issparse(matrix):
-            mat = matrix.tocsc().astype(float)
+            mat = matrix.tocsc()
+            if mat.dtype != np.float64:
+                mat = mat.astype(float)
         else:
             a = np.asarray(matrix, dtype=float)
             _check_square(a, "factorization")
@@ -265,6 +283,22 @@ class SparseLU:
                 f"RHS has leading dimension {rhs.shape[0]}, "
                 f"factorization is {self.n}x{self.n}")
         return self._lu.solve(rhs)
+
+
+def csc_from_pattern(data: np.ndarray, indices: np.ndarray,
+                     indptr: np.ndarray, n: int):
+    """``n x n`` CSC matrix over a fixed pattern, exact zeros dropped.
+
+    *data* holds one value per pattern slot; all three arrays are copied,
+    so the caller may refill *data* in place for the next matrix.  With
+    the zeros dropped the result equals ``scipy.sparse.csc_array`` of the
+    dense matrix in ``indices``, ``indptr`` and ``data``, whatever
+    superset of the nonzeros the pattern holds.
+    """
+    matrix = _scipy_sparse.csc_array(
+        (data.copy(), indices.copy(), indptr.copy()), shape=(n, n))
+    matrix.eliminate_zeros()
+    return matrix
 
 
 def factorize_matrix(matrix: np.ndarray,

@@ -53,7 +53,7 @@ from repro.analysis.mna import CompiledCircuit, Factorization
 from repro.analysis.newton import absolute_tolerances, step_converged
 from repro.analysis.options import DEFAULT_OPTIONS, SimOptions
 from repro.circuit.diode import diode_eval
-from repro.circuit.mosfet import mos_level1
+from repro.circuit.mosfet import Level1Bank, mos_level1_bank
 from repro.errors import AnalysisError, SingularMatrixError
 
 __all__ = ["ScreenedSolution", "BatchedOverlaySolver",
@@ -328,7 +328,7 @@ class BatchedOverlaySolver:
             breakdown_conductance=options.breakdown_conductance)
         self.b0 = b0.copy()
         self.factorization = (factorization if factorization is not None
-                              else Factorization(g0))
+                              else Factorization(g0, compiled.plan.kind))
         #: Backend kind serving this solver ("dense" or "sparse") — taken
         #: from the factorization so every stage (SMW solves, chord
         #: residual matmuls, batched Newton columns) routes consistently.
@@ -418,76 +418,56 @@ class BatchedOverlaySolver:
                 fi, ni = np.nonzero(clamped.T)
                 np.add.at(ga, (fi, ni, ni), gbd)
 
+        # Device families through the compiled stamp plan, one scatter
+        # each for the residuals and the Jacobian stack (capacitor
+        # companions first: the pseudo-transient ladder's order).
+        plan = compiled.plan
         fi = np.arange(n_faults)
         if cap_geq is not None and compiled.n_caps:
-            p = compiled.cap_p[:, None]
-            n = compiled.cap_n[:, None]
-            ci = fi[None, :]
             vcap = xa[compiled.cap_p] - xa[compiled.cap_n]
             icap = cap_geq * vcap - cap_ieq
-            np.add.at(r, (np.broadcast_to(p, icap.shape), ci), icap)
-            np.add.at(r, (np.broadcast_to(n, icap.shape), ci), -icap)
-            if ga is not None:
-                for rows, against, val in (
-                        (p, p, cap_geq), (p, n, -cap_geq),
-                        (n, p, -cap_geq), (n, n, cap_geq)):
-                    np.add.at(
-                        ga,
-                        (np.broadcast_to(ci, val.shape),
-                         np.broadcast_to(rows, val.shape),
-                         np.broadcast_to(against, val.shape)), val)
+            self._scatter(r, ga, plan.cap, fi, (icap, icap),
+                          (cap_geq, cap_geq, cap_geq, cap_geq))
 
         if compiled.n_mosfets:
-            d = compiled.mos_d[:, None]
-            g = compiled.mos_g[:, None]
-            s = compiled.mos_s[:, None]
-            b = compiled.mos_b[:, None]
-            ci = fi[None, :]
-            vgs = xa[compiled.mos_g] - xa[compiled.mos_s]
-            vds = xa[compiled.mos_d] - xa[compiled.mos_s]
-            vbs = xa[compiled.mos_b] - xa[compiled.mos_s]
             mos_beta, mos_vto = self._mos_params(cols)
-            ids, gm, gds, gmb = mos_level1(
-                vgs, vds, vbs, compiled.mos_sign[:, None],
-                mos_beta, mos_vto,
+            bank = Level1Bank(
+                compiled.mos_sign[:, None], mos_beta, mos_vto,
                 compiled.mos_lam[:, None], compiled.mos_gamma[:, None],
                 compiled.mos_phi[:, None])
-            np.add.at(r, (np.broadcast_to(d, ids.shape), ci), ids)
-            np.add.at(r, (np.broadcast_to(s, ids.shape), ci), -ids)
-            if ga is not None:
-                gsum = gm + gds + gmb
-                for rows, against, val in (
-                        (d, g, gm), (d, d, gds), (d, b, gmb), (d, s, -gsum),
-                        (s, g, -gm), (s, d, -gds), (s, b, -gmb),
-                        (s, s, gsum)):
-                    np.add.at(
-                        ga,
-                        (np.broadcast_to(ci, val.shape),
-                         np.broadcast_to(rows, val.shape),
-                         np.broadcast_to(against, val.shape)), val)
+            terms = xa[plan.mos_terms] - xa[compiled.mos_s]
+            ids, gm, gds, gmb = mos_level1_bank(bank.sign * terms, bank)
+            gsum = None if ga is None else gm + gds + gmb
+            self._scatter(r, ga, plan.mos, fi, (ids, ids),
+                          (gm, gds, gmb, gsum, gm, gds, gmb, gsum))
 
         if compiled.n_diodes:
-            a = compiled.dio_a[:, None]
-            c = compiled.dio_c[:, None]
-            ci = fi[None, :]
             vd = xa[compiled.dio_a] - xa[compiled.dio_c]
             idio, gdio = diode_eval(vd, compiled.dio_is[:, None],
                                     compiled.dio_n[:, None])
-            np.add.at(r, (np.broadcast_to(a, idio.shape), ci), idio)
-            np.add.at(r, (np.broadcast_to(c, idio.shape), ci), -idio)
-            if ga is not None:
-                for rows, against, val in (
-                        (a, a, gdio), (a, c, -gdio),
-                        (c, a, -gdio), (c, c, gdio)):
-                    np.add.at(
-                        ga,
-                        (np.broadcast_to(ci, val.shape),
-                         np.broadcast_to(rows, val.shape),
-                         np.broadcast_to(against, val.shape)), val)
+            self._scatter(r, ga, plan.diode, fi, (idio, idio),
+                          (gdio, gdio, gdio, gdio))
 
         if ga is not None:
             ga = ga[:, :size, :size]
         return r[:size], ga
+
+    @staticmethod
+    def _scatter(r: np.ndarray, ga: np.ndarray | None, family,
+                 fi: np.ndarray, currents, conductances) -> None:
+        """Add one device family into the column stack: its *currents*
+        into the residual rows and, when *ga* is given, its
+        *conductances* into every column's Jacobian — both in the
+        plan's accumulation order.  So a DC column whose fault is one
+        overlay stamp (every bridging and pinhole fault) gets bitwise
+        the Jacobian :meth:`CompiledCircuit.linearize` builds with that
+        overlay pushed."""
+        np.add.at(r, (family.i_rows[:, None], fi),
+                  np.concatenate(currents) * family.i_sign[:, None])
+        if ga is not None:
+            offsets = family.flat[:, None] + (ga.shape[1] * ga.shape[2]) * fi
+            np.add.at(ga.reshape(-1), offsets,
+                      np.concatenate(conductances) * family.g_sign[:, None])
 
     def _mos_params(self, cols: np.ndarray | None,
                     ) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,20 @@ work:
 * bias-independent stamps (resistors, controlled-source incidence) are
   assembled once into a static matrix that each Newton iteration copies;
 * MOSFETs and diodes are evaluated as vector banks
-  (:func:`repro.circuit.mosfet.mos_level1`, :func:`repro.circuit.diode.diode_eval`).
+  (:func:`repro.circuit.mosfet.mos_level1_bank`,
+  :func:`repro.circuit.diode.diode_eval`);
+* one :class:`StampPlan` per compiled circuit holds every bias-dependent
+  stamp position (node-diagonal gmin, MOS, diode, capacitor-companion and
+  inductor stamps) as flat scatter indices in a fixed accumulation
+  order, plus the dense/sparse backend kind, resolved once when the
+  circuit compiles.  Each device family then costs one ``np.add.at``,
+  whether the target is the dense augmented system
+  (:meth:`CompiledCircuit.linearize`), the CSC ``data`` of the sparse
+  Newton system (:meth:`CompiledCircuit.newton_system`) or the batched
+  Jacobian stack of :mod:`repro.analysis.batched`.  ``ufunc.at``
+  accumulates unbuffered in index order, so every entry sums the device
+  contributions in the same order whichever target it lands in, and the
+  targets agree bitwise.
 
 Work buffers are reused across calls: the ``(G, b)`` views returned by
 :meth:`CompiledCircuit.linearize` are invalidated by the next call.
@@ -34,14 +47,17 @@ reversible and both feed the fault-overlay machinery of
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.analysis.backend import (
     BACKEND_SPARSE,
     SparseLU,
+    csc_from_pattern,
     factorize_matrix,
     select_backend,
     solve_dense,
@@ -57,12 +73,12 @@ from repro.circuit.elements import (
     VoltageSource,
     is_ground,
 )
-from repro.circuit.mosfet import Mosfet, mos_level1
+from repro.circuit.mosfet import Level1Bank, Mosfet, mos_level1_bank
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.waveforms.sources import Waveform
 
-__all__ = ["CompiledCircuit", "Factorization"]
+__all__ = ["CompiledCircuit", "Factorization", "StampPlan"]
 
 
 class Factorization:
@@ -111,6 +127,200 @@ class Factorization:
         return self._impl.solve(rhs)
 
 
+#: Per-kind stamp signs: the MOS (d,g) (d,d) (d,b) (d,s) (s,g) (s,d)
+#: (s,b) (s,s) stamps, a two-terminal branch's (p,p) (p,n) (n,p) (n,n),
+#: and the +/- of a current into its first and out of its second node.
+_MOS_SIGNS = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0, -1.0, 1.0])
+_BRANCH_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+_PAIR_SIGNS = np.array([1.0, -1.0])
+_POS_SIGN = np.array([1.0])
+_NEG_SIGN = np.array([-1.0])
+
+
+class _Family:
+    """Stamp positions of one device family, in accumulation order.
+
+    Matrix stamp *i* adds ``g_sign[i]`` times its conductance at the
+    augmented position ``(rows[i], cols[i])``; the family's currents
+    enter the KCL rows ``i_rows`` with ``i_sign`` (into the first
+    terminal, out of the second).  ``dense`` indexes the flat buffer of
+    :meth:`CompiledCircuit.linearize` (augmented matrix, then RHS) and
+    ``sign`` is the matching sign vector, the RHS part taking the
+    linearized current ``ieq`` with ``rhs_sign``.
+
+    *stamps* lists ``(rows, cols)`` per stamp kind and *currents* the
+    KCL rows per terminal, every array holding one entry per device;
+    *g_signs* and *i_signs* give one sign per kind and per terminal.
+    """
+
+    def __init__(self, size: int, stamps, g_signs, currents, i_signs,
+                 rhs_sign: float) -> None:
+        aug = size + 1
+        count = len(currents[0])
+        self.rows = np.concatenate([r for r, _ in stamps])
+        self.cols = np.concatenate([c for _, c in stamps])
+        self.g_sign = np.repeat(g_signs, count)
+        self.i_rows = np.concatenate(currents)
+        self.i_sign = np.repeat(i_signs, count)
+        #: Flat positions in the augmented ``(size+1)**2`` matrix.
+        self.flat = self.rows * aug + self.cols
+        self.dense = np.concatenate((self.flat, aug * aug + self.i_rows))
+        self.sign = np.concatenate((self.g_sign, rhs_sign * self.i_sign))
+
+
+#: The family of a device type the circuit does not have (no stamps).
+_NO_DEVICES = _Family(0, ((np.zeros(0, np.intp),) * 2,), _POS_SIGN,
+                      (np.zeros(0, np.intp),), _POS_SIGN, 1.0)
+
+
+class _Scatter(NamedTuple):
+    """Where :meth:`CompiledCircuit._stamp` writes in one flat buffer:
+    node diagonals, the RHS offset and one index array per family."""
+
+    diag: np.ndarray
+    rhs: int
+    mos: np.ndarray
+    diode: np.ndarray
+    cap: np.ndarray
+    ind: np.ndarray
+
+
+class _SparsePattern:
+    """CSC pattern of the trimmed Newton matrix and the plan's scatter
+    into its ``data``.
+
+    *keys* are the sorted column-major positions ``col*size + row``.
+    The flat assembly buffer is ``data`` (one slot per key), one trash
+    slot that absorbs every stamp touching ground, then the augmented
+    RHS.
+    """
+
+    def __init__(self, plan: "StampPlan", keys: np.ndarray) -> None:
+        n = plan.size
+        nnz = len(keys)
+        rows, cols = keys % n, keys // n
+        self.n = n
+        self.keys = keys
+        self.nnz = nnz
+        self.indices = rows.astype(np.int32)
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        #: Gather of the static entries from the augmented static matrix.
+        self.static = rows * (n + 1) + cols
+        rhs = nnz + 1
+
+        def slots(family: _Family) -> np.ndarray:
+            return np.concatenate((self.slot(family.rows, family.cols),
+                                   rhs + family.i_rows))
+
+        self.scatter = _Scatter(
+            self.slot(plan.nodes, plan.nodes), rhs, slots(plan.mos),
+            slots(plan.diode), slots(plan.cap), slots(plan.ind))
+        self.buffer = np.zeros(rhs + n + 1)
+
+    def slot(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Data slot of each augmented position (ground: the trash slot)."""
+        n = self.n
+        inside = (rows < n) & (cols < n)
+        found = np.searchsorted(self.keys, cols * n + rows)
+        return np.where(inside, found, self.nnz)
+
+
+class StampPlan:
+    """Compile-time scatter map of one circuit's bias-dependent stamps.
+
+    Built once per :class:`CompiledCircuit` and the only place the stamp
+    topology lives: the node-diagonal gmin and the MOS, diode,
+    capacitor-companion and inductor stamp positions, each family in a
+    fixed accumulation order, plus :attr:`kind`, the dense/sparse
+    backend :func:`~repro.analysis.backend.select_backend` resolves when
+    the circuit compiles (``REPRO_BACKEND`` and ``REPRO_SPARSE_THRESHOLD``
+    are read then, not per solve).
+
+    Under the sparse kind the plan also keeps the CSC pattern of the
+    Newton matrix: static nonzeros, node diagonals, every device stamp
+    and every overlay position pushed so far (:meth:`cover`).  Entries
+    that come out exactly zero are dropped after assembly, so the CSC
+    matrix equals ``scipy.sparse.csc_array`` of the dense system and
+    SuperLU sees the same pattern and picks the same ordering.
+    """
+
+    def __init__(self, compiled: "CompiledCircuit") -> None:
+        size = compiled.size
+        self.size = size
+        self.kind = select_backend(size)
+        self.nodes = np.arange(compiled.n_nodes)
+        aug = size + 1
+        self.mos = self.diode = self.cap = self.ind = _NO_DEVICES
+        #: MOS terminal rows gathered at once: (vg, vb, vd) minus vs
+        #: gives the stacked (vgs, vbs, vds) of :func:`mos_level1_bank`.
+        self.mos_terms: np.ndarray | None = None
+        self.mos_bank: Level1Bank | None = None
+        if compiled.n_mosfets:
+            d, g = compiled.mos_d, compiled.mos_g
+            s, b = compiled.mos_s, compiled.mos_b
+            self.mos_terms = np.stack((g, b, d))
+            self.mos_bank = Level1Bank(
+                compiled.mos_sign, compiled.mos_beta, compiled.mos_vto,
+                compiled.mos_lam, compiled.mos_gamma, compiled.mos_phi)
+            self.mos = _Family(
+                size, ((d, g), (d, d), (d, b), (d, s),
+                       (s, g), (s, d), (s, b), (s, s)), _MOS_SIGNS,
+                (d, s), _PAIR_SIGNS, -1.0)
+        if compiled.n_diodes:
+            a, c = compiled.dio_a, compiled.dio_c
+            self.diode = _Family(size, ((a, a), (a, c), (c, a), (c, c)),
+                                 _BRANCH_SIGNS, (a, c), _PAIR_SIGNS, -1.0)
+        if compiled.n_caps:
+            p, n = compiled.cap_p, compiled.cap_n
+            self.cap = _Family(size, ((p, p), (p, n), (n, p), (n, n)),
+                               _BRANCH_SIGNS, (p, n), _PAIR_SIGNS, 1.0)
+        if compiled.n_inductors:
+            r = compiled.ind_row
+            self.ind = _Family(size, ((r, r),), _NEG_SIGN, (r,), _POS_SIGN,
+                               1.0)
+        #: Flat node diagonals of the augmented matrix.
+        self.diag = self.nodes * (aug + 1)
+        self.dense = _Scatter(
+            self.diag, aug * aug, self.mos.dense, self.diode.dense,
+            self.cap.dense, self.ind.dense)
+        self._sparse: _SparsePattern | None = None
+
+    def sparse(self, g_static: np.ndarray) -> _SparsePattern:
+        """The sparse pattern, built from *g_static* on first use."""
+        if self._sparse is None:
+            n = self.size
+            rows, cols = np.nonzero(g_static[:n, :n])
+            self._sparse = _SparsePattern(self, self._keys(
+                np.concatenate((rows, self.nodes, self.mos.rows,
+                                self.diode.rows, self.cap.rows,
+                                self.ind.rows)),
+                np.concatenate((cols, self.nodes, self.mos.cols,
+                                self.diode.cols, self.cap.cols,
+                                self.ind.cols))))
+        return self._sparse
+
+    def cover(self, entries: list[tuple[int, int, float]]) -> None:
+        """Grow the sparse pattern to hold the augmented positions
+        ``(i, j)`` of an overlay's *entries*; a no-op before first use."""
+        pattern = self._sparse
+        if pattern is None:
+            return
+        positions = np.array([(i, j) for i, j, _ in entries],
+                             dtype=np.intp).reshape(-1, 2)
+        keys = self._keys(positions[:, 0], positions[:, 1])
+        new = keys[~np.isin(keys, pattern.keys, assume_unique=True)]
+        if new.size:
+            self._sparse = _SparsePattern(
+                self, np.union1d(pattern.keys, new))
+
+    def _keys(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Sorted unique column-major keys of the non-ground positions."""
+        n = self.size
+        inside = (rows < n) & (cols < n)
+        return np.unique(cols[inside] * n + rows[inside])
+
+
 class CompiledCircuit:
     """Index-compiled form of a circuit, ready for repeated stamping.
 
@@ -153,10 +363,14 @@ class CompiledCircuit:
         self._compile_inductors()
         self._compile_mosfets()
         self._compile_diodes()
+        self.plan = StampPlan(self)
 
-        # Reusable work buffers (augmented).
-        self._g_work = np.zeros((self.size + 1, self.size + 1))
-        self._b_work = np.zeros(self.size + 1)
+        # Reusable work buffers: one flat buffer holding the augmented
+        # matrix then the augmented RHS, so one scatter per device family
+        # reaches both; plus the augmented state (ground slot stays 0).
+        aug = self.size + 1
+        self._work = np.zeros(aug * aug + aug)
+        self._xa = np.zeros(aug)
 
         # Overlay stack: each entry is the list of (i, j, prior value)
         # matrix slots touched by one push, restored verbatim on pop.
@@ -364,6 +578,7 @@ class CompiledCircuit:
             ga[n, n] += g
             ga[p, n] -= g
             ga[n, p] -= g
+        self.plan.cover(saved)
         self._overlays.append(saved)
         return len(self._overlays)
 
@@ -481,80 +696,121 @@ class CompiledCircuit:
             ``(G, b)`` dense views of shape (size, size) and (size,).
             Valid until the next call on this object.
         """
-        ga = self._g_work
+        # Views of the flat work buffer, taken per call (a stored view
+        # would stop aliasing the buffer once the object is copied).
+        aug = self.size + 1
+        ga = self._work[:aug * aug].reshape(aug, aug)
+        ba = self._work[aug * aug:]
         np.copyto(ga, self._g_static)
-        ba = self._b_work
         np.copyto(ba, b_sources)
+        self._stamp(self._work, self.plan.dense, x, gmin, cap_geq, cap_ieq,
+                    ind_geq, ind_veq, breakdown_voltage,
+                    breakdown_conductance)
+        # The ground row/column absorbed every stamp touching ground; trim.
+        return ga[:self.size, :self.size], ba[:self.size]
 
-        # gmin on node diagonals only.
-        idx = np.arange(self.n_nodes)
-        ga[idx, idx] += gmin
+    def newton_system(
+        self,
+        x: np.ndarray,
+        b_sources: np.ndarray,
+        gmin: float,
+        cap_geq: np.ndarray | None = None,
+        cap_ieq: np.ndarray | None = None,
+        ind_geq: np.ndarray | None = None,
+        ind_veq: np.ndarray | None = None,
+        breakdown_voltage: float = float("inf"),
+        breakdown_conductance: float = 0.0,
+    ):
+        """The linearized system of :meth:`linearize`, in the form the
+        plan's backend solves: the dense views under the dense kind, a
+        CSC matrix (and the RHS view) under the sparse kind.
 
-        xa = np.append(x, 0.0)  # augmented state (ground = 0)
+        The sparse form scatters the stamps straight into the ``data`` of
+        the plan's fixed pattern, with no dense ``(size+1)**2`` copy and
+        no dense-to-CSC scan, then drops exact zeros: the matrix equals
+        ``scipy.sparse.csc_array`` of :meth:`linearize`'s ``G`` in
+        ``indices``, ``indptr`` and ``data``.  Pass the result to
+        :meth:`solve_linear`.
+        """
+        if self.plan.kind != BACKEND_SPARSE:
+            return self.linearize(
+                x, b_sources, gmin, cap_geq, cap_ieq, ind_geq, ind_veq,
+                breakdown_voltage, breakdown_conductance)
+        pattern = self.plan.sparse(self._g_static)
+        buf = pattern.buffer
+        nnz = pattern.nnz
+        np.take(self._g_static.reshape(-1), pattern.static, out=buf[:nnz])
+        buf[nnz] = 0.0  # trash slot of the ground stamps
+        buf[nnz + 1:] = b_sources
+        self._stamp(buf, pattern.scatter, x, gmin, cap_geq, cap_ieq,
+                    ind_geq, ind_veq, breakdown_voltage,
+                    breakdown_conductance)
+        matrix = csc_from_pattern(buf[:nnz], pattern.indices,
+                                  pattern.indptr, self.size)
+        return matrix, buf[nnz + 1:nnz + 1 + self.size]
+
+    def _stamp(self, buf, scatter, x, gmin, cap_geq, cap_ieq, ind_geq,
+               ind_veq, breakdown_voltage, breakdown_conductance) -> None:
+        """Add gmin, the breakdown clamp and every device family's stamps
+        at *x* into the flat buffer *buf*, which already holds the static
+        matrix and the sources, at the positions *scatter* names.
+
+        The families go in a fixed order, each as one ``np.add.at`` over
+        its plan indices (matrix and RHS together); values are built as
+        one concatenation times the family's sign vector (multiplying by
+        -1.0 is exact negation).
+        """
+        plan = self.plan
+        buf[scatter.diag] += gmin
+        xa = self._xa
+        xa[:self.size] = x
 
         # Breakdown clamp: beyond +-breakdown_voltage a strong
         # conductance pulls the node back (junction-breakdown surrogate;
         # see SimOptions).  Piecewise-linear, so the Jacobian is exact.
-        if np.isfinite(breakdown_voltage) and breakdown_conductance > 0.0:
-            v = xa[:self.n_nodes]
+        # One reduction gates it: max |v| (NaN ignored, as the
+        # comparisons ignore it) exceeds breakdown_voltage exactly when
+        # some node is over or under.
+        v = xa[:self.n_nodes]
+        if (math.isfinite(breakdown_voltage) and breakdown_conductance > 0.0
+                and np.fmax.reduce(np.abs(v)) > breakdown_voltage):
             over = v > breakdown_voltage
             under = v < -breakdown_voltage
-            if np.any(over) or np.any(under):
-                gbd = breakdown_conductance
-                clamp_idx = idx[over | under]
-                ga[clamp_idx, clamp_idx] += gbd
-                ba[idx[over]] += gbd * breakdown_voltage
-                ba[idx[under]] -= gbd * breakdown_voltage
+            gbd = breakdown_conductance
+            buf[scatter.diag[over | under]] += gbd
+            buf[scatter.rhs + plan.nodes[over]] += gbd * breakdown_voltage
+            buf[scatter.rhs + plan.nodes[under]] -= gbd * breakdown_voltage
 
         if self.n_mosfets:
-            d, g, s, b = self.mos_d, self.mos_g, self.mos_s, self.mos_b
-            vgs = xa[g] - xa[s]
-            vds = xa[d] - xa[s]
-            vbs = xa[b] - xa[s]
-            ids, gm, gds, gmb = mos_level1(
-                vgs, vds, vbs, self.mos_sign, self.mos_beta, self.mos_vto,
-                self.mos_lam, self.mos_gamma, self.mos_phi)
+            terms = xa[plan.mos_terms] - xa[self.mos_s]
+            bank = plan.mos_bank
+            ids, gm, gds, gmb = mos_level1_bank(bank.sign * terms, bank)
+            vgs, vbs, vds = terms
             ieq = ids - gm * vgs - gds * vds - gmb * vbs
             gsum = gm + gds + gmb
-            np.add.at(ga, (d, g), gm)
-            np.add.at(ga, (d, d), gds)
-            np.add.at(ga, (d, b), gmb)
-            np.add.at(ga, (d, s), -gsum)
-            np.add.at(ga, (s, g), -gm)
-            np.add.at(ga, (s, d), -gds)
-            np.add.at(ga, (s, b), -gmb)
-            np.add.at(ga, (s, s), gsum)
-            np.add.at(ba, d, -ieq)
-            np.add.at(ba, s, ieq)
+            values = np.concatenate(
+                (gm, gds, gmb, gsum, gm, gds, gmb, gsum, ieq, ieq))
+            values *= plan.mos.sign
+            np.add.at(buf, scatter.mos, values)
 
         if self.n_diodes:
-            a, c = self.dio_a, self.dio_c
-            vd = xa[a] - xa[c]
+            vd = xa[self.dio_a] - xa[self.dio_c]
             idio, gdio = diode_eval(vd, self.dio_is, self.dio_n)
             ieq = idio - gdio * vd
-            np.add.at(ga, (a, a), gdio)
-            np.add.at(ga, (a, c), -gdio)
-            np.add.at(ga, (c, a), -gdio)
-            np.add.at(ga, (c, c), gdio)
-            np.add.at(ba, a, -ieq)
-            np.add.at(ba, c, ieq)
+            values = np.concatenate((gdio, gdio, gdio, gdio, ieq, ieq))
+            values *= plan.diode.sign
+            np.add.at(buf, scatter.diode, values)
 
         if cap_geq is not None and self.n_caps:
-            p, n = self.cap_p, self.cap_n
-            np.add.at(ga, (p, p), cap_geq)
-            np.add.at(ga, (p, n), -cap_geq)
-            np.add.at(ga, (n, p), -cap_geq)
-            np.add.at(ga, (n, n), cap_geq)
-            np.add.at(ba, p, cap_ieq)
-            np.add.at(ba, n, -cap_ieq)
+            values = np.concatenate(
+                (cap_geq, cap_geq, cap_geq, cap_geq, cap_ieq, cap_ieq))
+            values *= plan.cap.sign
+            np.add.at(buf, scatter.cap, values)
 
         if ind_geq is not None and self.n_inductors:
-            r = self.ind_row
-            np.add.at(ga, (r, r), -ind_geq)
-            np.add.at(ba, r, ind_veq)
-
-        # Neutralize anything stamped into the ground slot, then trim.
-        return ga[:self.size, :self.size], ba[:self.size]
+            values = np.concatenate((ind_geq, ind_veq))
+            values *= plan.ind.sign
+            np.add.at(buf, scatter.ind, values)
 
     def factorize(
         self,
@@ -577,7 +833,7 @@ class CompiledCircuit:
             x, b_sources, gmin,
             breakdown_voltage=breakdown_voltage,
             breakdown_conductance=breakdown_conductance)
-        return Factorization(g)
+        return Factorization(g, self.plan.kind)
 
     # ------------------------------------------------------------------
     # device current recovery (for measurements / companion updates)
@@ -603,31 +859,30 @@ class CompiledCircuit:
         g = g_view.copy()
 
         ca = np.zeros((self.size + 1, self.size + 1))
+        flat = ca.reshape(-1)
         if self.n_caps:
-            p, n = self.cap_p, self.cap_n
-            np.add.at(ca, (p, p), self.cap_value)
-            np.add.at(ca, (p, n), -self.cap_value)
-            np.add.at(ca, (n, p), -self.cap_value)
-            np.add.at(ca, (n, n), self.cap_value)
+            cap = self.plan.cap
+            np.add.at(flat, cap.flat, np.tile(self.cap_value, 4) * cap.g_sign)
         if self.n_inductors:
-            r = self.ind_row
-            np.add.at(ca, (r, r), -self.ind_value)
+            ind = self.plan.ind
+            np.add.at(flat, ind.flat, self.ind_value * ind.g_sign)
         return g, ca[:self.size, :self.size]
 
     # ------------------------------------------------------------------
     # solution unpacking
     # ------------------------------------------------------------------
-    def solve_linear(self, g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def solve_linear(self, g, b: np.ndarray) -> np.ndarray:
         """One-shot solve with a clear error on singular systems.
 
-        Routed through the size-selected backend
-        (:func:`repro.analysis.backend.select_backend`): large systems
-        assemble CSC and solve via SuperLU, so a single Newton iteration
-        on a 500-node macro costs ``O(nnz)``-ish instead of ``O(n^3)``;
-        small systems keep the dense LAPACK path.
+        Routed through the backend kind the plan resolved at compile
+        time: under the sparse kind *g* (the CSC matrix of
+        :meth:`newton_system`, or a dense array) is solved by SuperLU, so
+        a single Newton iteration on a 500-node macro costs
+        ``O(nnz)``-ish instead of ``O(n^3)``; small systems keep the
+        dense LAPACK path.
         """
         try:
-            if select_backend(self.size) == BACKEND_SPARSE:
+            if self.plan.kind == BACKEND_SPARSE:
                 return SparseLU(g).solve(b)
             return solve_dense(g, b)
         except SingularMatrixError as exc:

@@ -5,11 +5,14 @@
 gmin stepping, then source stepping — before raising
 :class:`~repro.errors.ConvergenceError`.
 
-Every iteration's linear solve goes through
-:meth:`CompiledCircuit.solve_linear`, which routes by system size to the
-dense-or-sparse backend of :mod:`repro.analysis.backend` — on the large
-macro zoo each Newton iteration costs a SuperLU factorization of a
-sparse CSC matrix instead of a dense ``O(n^3)`` LAPACK solve.
+Each iteration assembles :meth:`CompiledCircuit.newton_system` and solves
+it with :meth:`CompiledCircuit.solve_linear`, both on the backend kind
+the circuit's stamp plan resolved at compile time: small systems stamp
+into a dense augmented buffer and go to LAPACK; large ones scatter the
+same stamps straight into the ``data`` of a fixed CSC pattern and go to
+SuperLU, with no dense matrix in between.  Everything that does not
+change between iterations (tolerances, the step-limit mask, the option
+values) is read once per call.
 """
 
 from __future__ import annotations
@@ -46,8 +49,9 @@ def step_converged(dx: np.ndarray, x: np.ndarray, abs_tol: np.ndarray,
     Accepts 1-D vectors (returns a scalar bool) or ``(size, n)`` stacks
     of solution columns (returns a per-column bool array), so the
     batched screening path applies the exact single-solve criterion."""
-    tol = abs_tol.reshape(-1, *([1] * (dx.ndim - 1))) + reltol * np.abs(x)
-    return np.all(np.abs(dx) <= tol, axis=0)
+    if dx.ndim > 1:
+        abs_tol = abs_tol.reshape(-1, *([1] * (dx.ndim - 1)))
+    return (np.abs(dx) <= abs_tol + reltol * np.abs(x)).all(axis=0)
 
 
 @dataclass(frozen=True)
@@ -85,34 +89,35 @@ def newton_solve(
     x = np.array(x0, dtype=float, copy=True)
     gmin_val = options.gmin if gmin is None else gmin
     abs_tol = absolute_tolerances(compiled, options)
+    reltol = options.reltol
+    breakdown_voltage = options.breakdown_voltage
+    breakdown_conductance = options.breakdown_conductance
+    # Clamp voltage steps at nonlinear-device nodes only (junction
+    # limiting surrogate); purely linear unknowns may jump freely.
+    mask = compiled.nonlinear_node_mask
+    vstep_limit = options.vstep_limit if mask.any() else None
 
     for iteration in range(1, options.max_iter + 1):
-        g, b = compiled.linearize(
-            x, b_sources, gmin_val,
-            cap_geq=cap_geq, cap_ieq=cap_ieq,
-            ind_geq=ind_geq, ind_veq=ind_veq,
-            breakdown_voltage=options.breakdown_voltage,
-            breakdown_conductance=options.breakdown_conductance)
+        g, b = compiled.newton_system(
+            x, b_sources, gmin_val, cap_geq, cap_ieq, ind_geq, ind_veq,
+            breakdown_voltage, breakdown_conductance)
         try:
             x_new = compiled.solve_linear(g, b)
         except SingularMatrixError:
             if iteration == 1:
                 raise
             return NewtonOutcome(x, iteration, False)
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             return NewtonOutcome(x, iteration, False)
 
         dx = x_new - x
-        # Clamp voltage steps at nonlinear-device nodes only (junction
-        # limiting surrogate); purely linear unknowns may jump freely.
-        mask = compiled.nonlinear_node_mask
-        if mask.any():
-            vmax = float(np.max(np.abs(dx[mask])))
-            if vmax > options.vstep_limit:
-                dx *= options.vstep_limit / vmax
+        if vstep_limit is not None:
+            vmax = float(np.abs(dx[mask]).max())
+            if vmax > vstep_limit:
+                dx *= vstep_limit / vmax
         x = x + dx
 
-        if step_converged(dx, x, abs_tol, options.reltol):
+        if step_converged(dx, x, abs_tol, reltol):
             return NewtonOutcome(x, iteration, True)
     return NewtonOutcome(x, options.max_iter, False)
 

@@ -16,6 +16,9 @@ Two layers:
   voltages and parameters, returning currents and the small-signal partial
   derivatives the Newton stamper needs.  Polarity is handled with a sign
   transform so NMOS and PMOS evaluate through one code path.
+  :func:`mos_level1_bank` is the same evaluation on stacked voltages with
+  the cards' constants precomputed (:class:`Level1Bank`), the form the
+  compiled Newton stamper calls every iteration.
 
 The model equations (NMOS orientation, ``vov = vgs - vth``):
 
@@ -36,7 +39,8 @@ import numpy as np
 from repro.errors import NetlistError
 from repro.circuit.elements import Element
 
-__all__ = ["MosfetParams", "Mosfet", "mos_level1", "NMOS_DEFAULT", "PMOS_DEFAULT"]
+__all__ = ["MosfetParams", "Mosfet", "Level1Bank", "mos_level1",
+           "mos_level1_bank", "NMOS_DEFAULT", "PMOS_DEFAULT"]
 
 
 @dataclass(frozen=True)
@@ -151,6 +155,34 @@ class Mosfet(Element):
                        l=self.l if l is None else l)
 
 
+class Level1Bank:
+    """Per-device constants of a level-1 MOSFET bank.
+
+    Everything :func:`mos_level1_bank` needs that depends on the model
+    cards alone — the transformed threshold ``sign*vto``, ``sqrt(phi)``,
+    ``-gamma`` and ``beta/2`` — computed once, so a compiled circuit
+    pays for them at compile time instead of every Newton iteration.
+    Arrays broadcast against the terminal voltages (``(n,)`` for one
+    circuit, ``(n, 1)`` or ``(n, k)`` for a column stack).
+    """
+
+    __slots__ = ("sign", "beta", "half_beta", "tvto", "lam", "gamma",
+                 "neg_gamma", "phi", "sqrt_phi")
+
+    def __init__(self, sign: np.ndarray, beta: np.ndarray, vto: np.ndarray,
+                 lam: np.ndarray, gamma: np.ndarray,
+                 phi: np.ndarray) -> None:
+        self.sign = sign
+        self.beta = beta
+        self.half_beta = 0.5 * beta
+        self.tvto = sign * vto
+        self.lam = lam
+        self.gamma = gamma
+        self.neg_gamma = -gamma
+        self.phi = phi
+        self.sqrt_phi = np.sqrt(phi)
+
+
 def mos_level1(
     vgs: np.ndarray,
     vds: np.ndarray,
@@ -181,74 +213,79 @@ def mos_level1(
         partial equal to the transformed-space partial (the two sign
         factors cancel), so no re-transform of ``gm/gds/gmb`` is needed.
     """
-    # Transform to NMOS-like orientation.
-    tvgs = sign * vgs
-    tvds = sign * vds
-    tvbs = sign * vbs
-    tvto = sign * vto
+    return mos_level1_bank(sign * np.array((vgs, vbs, vds)),
+                           Level1Bank(sign, beta, vto, lam, gamma, phi))
 
-    # Drain-source inversion: evaluate with swapped terminals.
+
+def mos_level1_bank(
+    terms: np.ndarray, bank: Level1Bank,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mos_level1` on stacked, sign-transformed terminal voltages.
+
+    *terms* is ``sign * (vgs, vbs, vds)`` stacked on a leading axis of
+    3 (one array, so the transform is one multiply); *bank* holds the
+    cards' constants.  Returns exactly :func:`mos_level1`'s arrays: the
+    per-element arithmetic is the same, only grouped into fewer numpy
+    calls (one ``where`` selects all three branch outputs, and the
+    source-drain swap is skipped when no device is inverted).
+    """
+    tvds = terms[2]
+
+    # Drain-source inversion: evaluate with swapped terminals.  When no
+    # device is inverted (about 58% of the calls of a `generate` pass)
+    # every swap is the identity and is skipped.
     inverted = tvds < 0.0
-    # Gate-source voltage seen from the effective source terminal.
-    evgs = np.where(inverted, tvgs - tvds, tvgs)
+    swapped = bool(inverted.any())
+    if swapped:
+        # Gate- and bulk-source voltages seen from the effective source.
+        evgs, evbs = np.where(inverted, terms[:2] - tvds, terms[:2])
+    else:
+        evgs, evbs = terms[0], terms[1]
     evds = np.abs(tvds)
-    evbs = np.where(inverted, tvbs - tvds, tvbs)
 
     # Body effect: vth = vto + gamma*(sqrt(phi - vbs) - sqrt(phi)).
     # Clamp the junction forward bias so sqrt stays real; dvth/dvbs is then
     # zero in the clamped region, which is the standard SPICE treatment.
-    phi_vbs = np.maximum(phi - evbs, 1e-4)
-    sqrt_phi_vbs = np.sqrt(phi_vbs)
-    vth = tvto + gamma * (sqrt_phi_vbs - np.sqrt(phi))
-    dvth_dvbs = np.where(phi - evbs > 1e-4,
-                         -gamma / (2.0 * sqrt_phi_vbs), 0.0)
+    phi_vbs = bank.phi - evbs
+    sqrt_phi_vbs = np.sqrt(np.maximum(phi_vbs, 1e-4))
+    vth = bank.tvto + bank.gamma * (sqrt_phi_vbs - bank.sqrt_phi)
+    dvth_dvbs = np.where(phi_vbs > 1e-4,
+                         bank.neg_gamma / (2.0 * sqrt_phi_vbs), 0.0)
 
+    beta, lam = bank.beta, bank.lam
     vov = evgs - vth
     clm = 1.0 + lam * evds
-
     on = vov > 0.0
-    sat = on & (evds >= vov)
-    tri = on & ~sat
-
-    ids = np.zeros_like(evgs)
-    gm = np.zeros_like(evgs)
-    gds = np.zeros_like(evgs)
+    sat = evds >= vov  # saturation where on, triode otherwise
 
     # Saturation: ids = beta/2 * vov^2 * (1 + lam*vds)
-    ids = np.where(sat, 0.5 * beta * vov**2 * clm, ids)
-    gm = np.where(sat, beta * vov * clm, gm)
-    gds = np.where(sat, 0.5 * beta * vov**2 * lam, gds)
-
+    half_beta_vov2 = bank.half_beta * vov**2
     # Triode: ids = beta * (vov - vds/2) * vds * (1 + lam*vds)
-    ids = np.where(tri, beta * (vov - 0.5 * evds) * evds * clm, ids)
-    gm = np.where(tri, beta * evds * clm, gm)
-    gds = np.where(
-        tri,
-        beta * ((vov - evds) * clm + (vov - 0.5 * evds) * evds * lam),
-        gds)
+    vmid = vov - 0.5 * evds
+    ids, gm, gds = np.where(on, np.where(
+        sat,
+        (half_beta_vov2 * clm, beta * vov * clm, half_beta_vov2 * lam),
+        (beta * vmid * evds * clm, beta * evds * clm,
+         beta * ((vov - evds) * clm + vmid * evds * lam))), 0.0)
 
     # Body transconductance: d ids / d vbs = -gm_eff * dvth/dvbs.
     gmb = -gm * dvth_dvbs
 
-    # Undo the source-drain swap.  In swapped orientation the computed
-    # current flows effective-drain -> effective-source = actual s -> d,
-    # and the partials map as: d/dvgs -> gm stays on vgs but measured from
-    # the other terminal; the standard result is:
-    #   ids_actual = -ids_swapped
-    #   gm_actual  = gm_swapped        (applied to vgd = vgs - vds)
-    # We fold the remapping algebraically so the caller can stamp with
-    # plain (gm, gds, gmb) against (vgs, vds, vbs):
-    #   i(vgs,vds,vbs) = -f(vgs-vds, -vds, vbs-vds)
-    #   di/dvgs = -f1
-    #   di/dvds = f1 + f2 + f3
-    #   di/dvbs = -f3
-    f1, f2, f3 = gm, gds, gmb
-    ids = np.where(inverted, -ids, ids)
-    gm_out = np.where(inverted, -f1, f1)
-    gds_out = np.where(inverted, f1 + f2 + f3, f2)
-    gmb_out = np.where(inverted, -f3, f3)
+    if swapped:
+        # Undo the source-drain swap.  In swapped orientation the computed
+        # current flows effective-drain -> effective-source = actual s -> d,
+        # and the partials map as: d/dvgs -> gm stays on vgs but measured
+        # from the other terminal; the standard result is:
+        #   ids_actual = -ids_swapped
+        #   gm_actual  = gm_swapped        (applied to vgd = vgs - vds)
+        # We fold the remapping algebraically so the caller can stamp with
+        # plain (gm, gds, gmb) against (vgs, vds, vbs):
+        #   i(vgs,vds,vbs) = -f(vgs-vds, -vds, vbs-vds)
+        #   di/dvgs = -f1
+        #   di/dvds = f1 + f2 + f3
+        #   di/dvbs = -f3
+        ids, gm, gds, gmb = np.where(
+            inverted, (-ids, -gm, gm + gds + gmb, -gmb), (ids, gm, gds, gmb))
 
     # Undo the polarity transform for the current (partials are invariant).
-    ids = sign * ids
-
-    return ids, gm_out, gds_out, gmb_out
+    return bank.sign * ids, gm, gds, gmb

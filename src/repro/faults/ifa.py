@@ -74,35 +74,39 @@ def _canonical(node: str) -> str:
     return "0" if is_ground(node) else node
 
 
-def _node_degree(circuit: Circuit, node: str) -> int:
-    """Number of element terminals on *node* (net size proxy)."""
-    node = _canonical(node)
-    count = 0
-    for element in circuit:
-        for terminal in element.nodes:
-            if _canonical(terminal) == node:
-                count += 1
-    return count
+class _NetIndex:
+    """Net degrees and net -> element sets of one circuit, in one pass.
 
+    ``degree[net]`` counts element terminals on the net (net size
+    proxy); ``elements[net]`` holds the positions of the elements that
+    touch it, so the devices two nets share (adjacency proxy) are one
+    set intersection instead of a rescan of the netlist per node pair.
+    """
 
-def _shared_devices(circuit: Circuit, node_a: str, node_b: str) -> int:
-    """Number of elements touching both nets (adjacency proxy)."""
-    node_a, node_b = _canonical(node_a), _canonical(node_b)
-    shared = 0
-    for element in circuit:
-        terminals = {_canonical(t) for t in element.nodes}
-        if node_a in terminals and node_b in terminals:
-            shared += 1
-    return shared
+    def __init__(self, circuit: Circuit) -> None:
+        self.degree: dict[str, int] = {}
+        self.elements: dict[str, set[int]] = {}
+        for position, element in enumerate(circuit):
+            for terminal in element.nodes:
+                net = _canonical(terminal)
+                self.degree[net] = self.degree.get(net, 0) + 1
+                self.elements.setdefault(net, set()).add(position)
+
+    def likelihood(self, node_a: str, node_b: str,
+                   weights: IfaWeights) -> float:
+        """Unnormalized bridge likelihood between two nets."""
+        node_a, node_b = _canonical(node_a), _canonical(node_b)
+        shared = len(self.elements.get(node_a, set())
+                     & self.elements.get(node_b, set()))
+        size = np.sqrt(self.degree.get(node_a, 0)
+                       * self.degree.get(node_b, 0))
+        return weights.shared_device * shared + weights.net_size * float(size)
 
 
 def bridge_likelihood(circuit: Circuit, node_a: str, node_b: str,
                       weights: IfaWeights = IfaWeights()) -> float:
     """Unnormalized bridge likelihood between two nets (see module doc)."""
-    shared = _shared_devices(circuit, node_a, node_b)
-    size = np.sqrt(_node_degree(circuit, node_a)
-                   * _node_degree(circuit, node_b))
-    return weights.shared_device * shared + weights.net_size * float(size)
+    return _NetIndex(circuit).likelihood(node_a, node_b, weights)
 
 
 def pinhole_likelihood(device: Mosfet) -> float:
@@ -141,10 +145,11 @@ def ifa_fault_dictionary(
     else:
         nodes = validate_fault_nodes(circuit, nodes)
 
+    nets = _NetIndex(circuit)
     bridges: list[BridgingFault] = []
     raw_bridge = []
     for a, b in combinations(nodes, 2):
-        raw_bridge.append(bridge_likelihood(circuit, a, b, weights))
+        raw_bridge.append(nets.likelihood(a, b, weights))
         bridges.append(BridgingFault(node_a=a, node_b=b,
                                      impact=bridge_resistance))
     raw_bridge = np.asarray(raw_bridge)

@@ -14,6 +14,7 @@ from repro.macros import (
     get_macro,
     register_macro,
 )
+from repro.macros import registry
 from repro.measure import thd_percent
 from repro.waveforms import SineWave
 
@@ -30,10 +31,13 @@ class TestRegistry:
         with pytest.raises(TestGenerationError):
             get_macro("flux-capacitor")
 
-    def test_register_and_overwrite_protection(self):
+    def test_register_and_overwrite_protection(self, monkeypatch):
         class Dummy(RCLadderMacro):
             macro_type = "dummy-type"
 
+        # Register into a copy of the process-global registry that is
+        # restored after the test.
+        monkeypatch.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
         register_macro("dummy-type", Dummy)
         assert "dummy-type" in available_macros()
         with pytest.raises(TestGenerationError):
