@@ -2,17 +2,16 @@
 
 The economics of compact test generation (paper §3.3, §4.2) hinge on the
 cost of one faulty simulation: 55 faults x 5 configurations x dozens of
-optimizer steps hit the simulator, and before this layer existed every
-call copied the netlist, re-ran :class:`~repro.analysis.mna.CompiledCircuit`
-compilation from scratch and cold-started Newton — compilation dominated
-wall-clock, not solving.  :class:`SimulationEngine` removes all three
-costs:
+optimizer steps hit the simulator.  Copying the netlist, compiling it
+from scratch and cold-starting Newton per call would make compilation,
+not solving, dominate wall-clock.  :class:`SimulationEngine` removes all
+three costs:
 
 * **compile once** — each distinct overlay base (the nominal circuit,
   plus one split-channel skeleton per pinhole site) is compiled exactly
   once and cached in a bounded LRU;
-* **stamp, don't rebuild** — faults implementing the overlay protocol of
-  :mod:`repro.faults.base` are injected as reversible conductance stamps
+* **stamp, don't rebuild** — every fault is injected through the overlay
+  protocol of :mod:`repro.faults.base`, as reversible conductance stamps
   on the compiled base (:meth:`CompiledCircuit.push_overlay`), and
   stimulus parameters are patched into the compiled source banks
   (:meth:`CompiledCircuit.patched_source`);
@@ -20,12 +19,10 @@ costs:
   (base, fault) slot, so adjacent optimizer steps start Newton next to
   the answer instead of at zero.
 
-Fault models that cannot express themselves as conductance stamps (ones
-that add or rewire nodes per impact value) transparently fall back to the
-legacy copy+recompile path, which remains fully supported.
-
-The ``validate_overlay`` debug mode cross-checks **every** overlay
-simulation against the legacy path and raises
+The overlay path is the only way a fault is simulated.  The
+copy+recompile path survives as :meth:`SimulationEngine.simulate_legacy`,
+the reference of the ``validate_overlay`` debug mode: it cross-checks
+**every** overlay simulation against that path and raises
 :class:`~repro.errors.OverlayValidationError` on disagreement, making
 overlay correctness provable on any workload (the equivalence test suite
 and ``benchmarks/bench_engine_overlay.py`` run exactly this).
@@ -56,6 +53,23 @@ __all__ = ["EngineStats", "WarmStart", "ScreenedObservation",
 
 _LOG = get_logger("analysis.engine")
 
+#: Bound on cached compiled overlay bases (the nominal base is never
+#: evicted).
+MAX_BASES = 32
+
+#: Bound on remembered warm-start slots.
+MAX_WARM_STATES = 128
+
+#: Bound on cached batched-screening solvers, one per (base, stimulus)
+#: pair (see :meth:`SimulationEngine.screen_faults`).
+MAX_FACTORIZATIONS = 32
+
+#: Tolerances of the ``validate_overlay`` cross-check.  Both paths
+#: converge independently to within the Newton tolerances, so these are
+#: a few orders looser than ``SimOptions.reltol``.
+VALIDATE_RTOL = 5e-3
+VALIDATE_ATOL = 1e-5
+
 
 @dataclass
 class EngineStats:
@@ -65,8 +79,8 @@ class EngineStats:
         compilations: compiled overlay bases built by this engine (the
             nominal circuit counts as one).
         overlay_simulations: faulty simulations served via stamping.
-        legacy_simulations: faulty simulations served via copy+recompile
-            (non-overlay fault types, plus ``validate_overlay`` replays).
+        legacy_simulations: copy+recompile reference simulations (the
+            ``validate_overlay`` replays).
         nominal_simulations: fault-free simulations served.
         validations: overlay-vs-legacy cross-checks performed.
         base_evictions: compiled bases dropped from the LRU.
@@ -136,8 +150,8 @@ class ScreenedObservation:
         served: how the observation was produced — ``"screened"``
             (SMW+chord certificate), ``"confirmed"`` (batched Newton),
             ``"fallback"`` (per-fault robust overlay solve),
-            ``"overlay"``/``"legacy"`` (procedures or fault types
-            outside the screening protocol) or ``"error"``.
+            ``"overlay"`` (procedures outside the screening protocol)
+            or ``"error"``.
         x: the converged solution vector of ``"screened"`` and
             ``"confirmed"`` observations (``None`` on the per-fault
             paths).  Canonical-mode callers feed it back as the warm
@@ -159,16 +173,8 @@ class SimulationEngine:
         options: simulator options shared by all runs.
         validate_overlay: debug mode — replay every overlay simulation on
             the legacy copy+recompile path and raise
-            :class:`OverlayValidationError` on disagreement.
-        validate_rtol / validate_atol: tolerances of that cross-check.
-            Both paths converge independently to within the Newton
-            tolerances, so the defaults are a few orders looser than
-            ``SimOptions.reltol``.
-        max_bases: bound on cached compiled overlay bases (the nominal
-            base is never evicted).
-        max_warm_states: bound on remembered warm-start slots.
-        max_factorizations: bound on cached batched-screening solvers
-            (one per (base, stimulus) pair; see :meth:`screen_faults`).
+            :class:`OverlayValidationError` on disagreement (tolerances
+            :data:`VALIDATE_RTOL` / :data:`VALIDATE_ATOL`).
         warm_start: reuse converged DC solutions as Newton starting
             estimates across adjacent simulations.  This assumes the
             circuit has a **unique** DC operating point (true of the
@@ -189,11 +195,6 @@ class SimulationEngine:
     def __init__(self, circuit: Circuit,
                  options: SimOptions = DEFAULT_OPTIONS, *,
                  validate_overlay: bool = False,
-                 validate_rtol: float = 5e-3,
-                 validate_atol: float = 1e-5,
-                 max_bases: int = 32,
-                 max_warm_states: int = 128,
-                 max_factorizations: int = 32,
                  warm_start: bool = True,
                  preflight: str | None = None) -> None:
         if preflight not in (None, "error", "strict"):
@@ -209,11 +210,6 @@ class SimulationEngine:
         self.circuit = circuit
         self.options = options
         self.validate_overlay = validate_overlay
-        self.validate_rtol = validate_rtol
-        self.validate_atol = validate_atol
-        self.max_bases = max(1, max_bases)
-        self.max_warm_states = max(1, max_warm_states)
-        self.max_factorizations = max(1, max_factorizations)
         self.warm_start = warm_start
         self.stats = EngineStats()
         self._bases: OrderedDict[str, CompiledCircuit] = OrderedDict()
@@ -238,7 +234,7 @@ class SimulationEngine:
         compiled = CompiledCircuit(build())
         self.stats.compilations += 1
         self._bases[key] = compiled
-        while len(self._bases) > self.max_bases:
+        while len(self._bases) > MAX_BASES:
             victim = next(k for k in self._bases if k != "nominal")
             del self._bases[victim]
             self.stats.base_evictions += 1
@@ -260,20 +256,13 @@ class SimulationEngine:
             self._warm.move_to_end(key)
             if slot.x is not None:
                 self.stats.warm_start_hits += 1
-        while len(self._warm) > self.max_warm_states:
+        while len(self._warm) > MAX_WARM_STATES:
             self._warm.popitem(last=False)
         return slot
 
     # ------------------------------------------------------------------
     # simulation entry points
     # ------------------------------------------------------------------
-    def supports(self, fault: FaultModel, procedure=None) -> bool:
-        """True when (*fault*, *procedure*) can run on the overlay path."""
-        if procedure is not None and not getattr(
-                procedure, "supports_compiled", False):
-            return False
-        return bool(getattr(fault, "supports_overlay", False))
-
     def simulate_nominal(self, procedure, params: Mapping[str, float],
                          *, warm: WarmStart | None = None) -> np.ndarray:
         """Fault-free raw observation from the compiled nominal base.
@@ -293,16 +282,13 @@ class SimulationEngine:
     def simulate_fault(self, procedure, params: Mapping[str, float],
                        fault: FaultModel, *,
                        warm: WarmStart | None = None) -> np.ndarray:
-        """Faulty raw observation — overlay path when possible.
+        """Faulty raw observation on the overlay path.
 
-        Overlay-capable faults are served as conductance stamps on their
-        compiled base with a per-(base, fault-site) warm start; others
-        fall back to :meth:`simulate_legacy`.  *warm* overrides the
+        The fault is served as conductance stamps on its compiled base
+        with a per-(base, fault-site) warm start.  *warm* overrides the
         engine's per-(base, fault) slot (canonical-mode callers pass
         their own slot or a fresh one).
         """
-        if not self.supports(fault, procedure):
-            return self.simulate_legacy(procedure, params, fault)
         base = self._base(fault.overlay_base_key,
                           lambda: fault.overlay_base(self.circuit))
         stamps = [(s.node_a, s.node_b, s.conductance)
@@ -319,7 +305,7 @@ class SimulationEngine:
 
     def simulate_legacy(self, procedure, params: Mapping[str, float],
                         fault: FaultModel) -> np.ndarray:
-        """Copy+recompile reference path (also the non-overlay fallback)."""
+        """Copy+recompile reference path of ``validate_overlay``."""
         faulty = fault.apply(self.circuit)
         self.stats.legacy_simulations += 1
         return procedure.simulate(faulty, params, self.options)
@@ -372,24 +358,18 @@ class SimulationEngine:
         contract as the per-fault path).  Nominal-solve failures and
         :class:`OverlayValidationError` propagate.
         """
-        results: list[ScreenedObservation | None] = [None] * len(faults)
-
         def ephemeral_warm():
             return WarmStart() if canonical else None
 
         if not self.screen_supported(procedure):
-            for i, fault in enumerate(faults):
-                results[i] = self._serve_per_fault(
-                    procedure, params, fault, warm=ephemeral_warm())
-            return results
+            return [self._serve_per_fault(procedure, params, fault,
+                                          warm=ephemeral_warm())
+                    for fault in faults]
 
+        results: list[ScreenedObservation | None] = [None] * len(faults)
         groups: dict[str, list[int]] = {}
         for i, fault in enumerate(faults):
-            if self.supports(fault, procedure):
-                groups.setdefault(fault.overlay_base_key, []).append(i)
-            else:
-                results[i] = self._serve_per_fault(
-                    procedure, params, fault, warm=ephemeral_warm())
+            groups.setdefault(fault.overlay_base_key, []).append(i)
 
         for base_key, idxs in groups.items():
             first = faults[idxs[0]]
@@ -427,13 +407,10 @@ class SimulationEngine:
         return results
 
     def _serve_per_fault(self, procedure, params, fault: FaultModel,
-                         served: str | None = None,
+                         served: str = "overlay",
                          warm: WarmStart | None = None,
                          ) -> ScreenedObservation:
-        """Serve one screened fault through the per-fault paths."""
-        if served is None:
-            served = ("overlay" if self.supports(fault, procedure)
-                      else "legacy")
+        """Serve one screened fault through the per-fault overlay path."""
         try:
             raw = self.simulate_fault(procedure, params, fault, warm=warm)
         except OverlayValidationError:
@@ -478,7 +455,7 @@ class SimulationEngine:
         if solver.backend == "sparse":
             self.stats.sparse_factorizations += 1
         self._screen_solvers[cache_key] = solver
-        while len(self._screen_solvers) > self.max_factorizations:
+        while len(self._screen_solvers) > MAX_FACTORIZATIONS:
             self._screen_solvers.popitem(last=False)
         return solver
 
@@ -491,7 +468,7 @@ class SimulationEngine:
         self.stats.validations += 1
         if overlay_raw.shape != reference.shape or not np.allclose(
                 overlay_raw, reference,
-                rtol=self.validate_rtol, atol=self.validate_atol):
+                rtol=VALIDATE_RTOL, atol=VALIDATE_ATOL):
             worst = float(np.max(np.abs(
                 np.asarray(overlay_raw, float) -
                 np.asarray(reference, float)))) \
@@ -499,6 +476,6 @@ class SimulationEngine:
             raise OverlayValidationError(
                 f"overlay simulation of {fault.cache_key} diverges from "
                 f"the legacy path (max |delta| = {worst:.3g}, rtol="
-                f"{self.validate_rtol:g}, atol={self.validate_atol:g}, "
+                f"{VALIDATE_RTOL:g}, atol={VALIDATE_ATOL:g}, "
                 f"params={dict(params)!r})")
         _LOG.debug("overlay validated for %s", fault.cache_key)

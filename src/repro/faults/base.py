@@ -16,17 +16,16 @@ interface normalizes direction: :meth:`FaultModel.weakened` always moves
 the model toward undetectability and :meth:`FaultModel.strengthened`
 toward a hard defect, regardless of how the underlying parameter maps.
 
-Beyond the netlist-level :meth:`FaultModel.apply`, models can opt into the
-**overlay protocol** used by :class:`repro.analysis.engine.SimulationEngine`:
-injection then becomes a set of conductance stamps
-(:class:`OverlayStamp`) on a compiled *overlay base* circuit instead of a
-netlist copy plus a full recompile.  Both paper fault models qualify —
-their impact parameter is exactly one conductance between two existing
-nodes of their base topology — so the per-fault inner loop of a
-generation run performs zero compilations.  Models that cannot express
-themselves this way (e.g. ones that rewire terminals per impact value)
-simply leave :attr:`FaultModel.supports_overlay` False and keep the
-legacy copy+recompile path.
+Every model also speaks the **overlay protocol** that
+:class:`repro.analysis.engine.SimulationEngine` simulates faults by:
+injection is a set of conductance stamps (:class:`OverlayStamp`) on a
+compiled *overlay base* circuit, not a netlist copy plus a full
+recompile.  Both paper fault models fit it, since their impact
+parameter is exactly one conductance between two existing nodes of
+their base topology, so the per-fault inner loop of a generation run
+performs zero compilations.  The netlist-level :meth:`FaultModel.apply`
+stays as the reference the engine's ``validate_overlay`` mode and the
+Monte Carlo scalar reference simulate against.
 """
 
 from __future__ import annotations
@@ -122,12 +121,7 @@ class FaultModel(ABC):
     # overlay protocol (compile-once fault stamping; see module doc)
     # ------------------------------------------------------------------
     @property
-    def supports_overlay(self) -> bool:
-        """True when this fault can be injected as conductance stamps on
-        a compiled overlay base (no netlist copy, no recompile)."""
-        return False
-
-    @property
+    @abstractmethod
     def overlay_base_key(self) -> str:
         """Identity of the overlay base circuit this fault stamps onto.
 
@@ -137,10 +131,8 @@ class FaultModel(ABC):
         and reuses it for every impact value.  The key must **not**
         depend on :attr:`impact` — impact lives entirely in the stamps.
         """
-        raise FaultModelError(
-            f"{self.fault_id}: fault type {self.fault_type!r} does not "
-            "support overlay stamping")
 
+    @abstractmethod
     def overlay_base(self, circuit: Circuit) -> Circuit:
         """Derive the overlay base netlist from the nominal *circuit*.
 
@@ -149,10 +141,8 @@ class FaultModel(ABC):
         compiled once per :attr:`overlay_base_key` and served to
         :meth:`stamp_delta`.
         """
-        raise FaultModelError(
-            f"{self.fault_id}: fault type {self.fault_type!r} does not "
-            "support overlay stamping")
 
+    @abstractmethod
     def stamp_delta(self, compiled: "CompiledCircuit") -> tuple[
             OverlayStamp, ...]:
         """Conductance stamps realizing this fault on *compiled*.
@@ -162,9 +152,6 @@ class FaultModel(ABC):
         Raises :class:`FaultModelError` when the required nodes are
         absent — the same contract as :meth:`apply`.
         """
-        raise FaultModelError(
-            f"{self.fault_id}: fault type {self.fault_type!r} does not "
-            "support overlay stamping")
 
     # ------------------------------------------------------------------
     # impact manipulation (used by the generation algorithm, Fig. 6)

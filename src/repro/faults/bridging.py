@@ -82,10 +82,6 @@ class BridgingFault(FaultModel):
     # the nominal compiled base.
     # ------------------------------------------------------------------
     @property
-    def supports_overlay(self) -> bool:
-        return True
-
-    @property
     def overlay_base_key(self) -> str:
         return "nominal"
 

@@ -107,8 +107,8 @@ class FaultDictionary:
         return FaultDictionary(tuple(
             f for f in self.faults if f.fault_id in wanted))
 
-    def by_overlay_base(self) -> dict[str | None, tuple[FaultModel, ...]]:
-        """Faults grouped by compiled overlay base (``None`` = no overlay).
+    def by_overlay_base(self) -> dict[str, tuple[FaultModel, ...]]:
+        """Faults grouped by compiled overlay base.
 
         Each key is one :attr:`FaultModel.overlay_base_key` — the unit of
         sharing for compile-once simulation *and* for batched SMW
@@ -116,10 +116,9 @@ class FaultDictionary:
         LU factorization of that base.  All bridging faults land under
         ``"nominal"``; each pinhole site forms its own group.
         """
-        groups: dict[str | None, list[FaultModel]] = {}
+        groups: dict[str, list[FaultModel]] = {}
         for fault in self.faults:
-            key = fault.overlay_base_key if fault.supports_overlay else None
-            groups.setdefault(key, []).append(fault)
+            groups.setdefault(fault.overlay_base_key, []).append(fault)
         return {key: tuple(members) for key, members in groups.items()}
 
     def __repr__(self) -> str:

@@ -15,9 +15,11 @@ def inject_fault(circuit: Circuit, fault: FaultModel,
     """Return a copy of *circuit* with *fault* injected.
 
     Thin wrapper over :meth:`FaultModel.apply` that optionally re-validates
-    the faulty netlist.  Validation is off by default: fault injection is
-    on the innermost ATPG loop and the models only add well-formed
-    elements, but turning it on is useful when developing new fault types.
+    the faulty netlist.  The ATPG loop never calls it: faults are stamped
+    onto compiled overlay bases instead (see
+    :class:`repro.analysis.engine.SimulationEngine`).  Validation is off
+    by default because the models only add well-formed elements; turning
+    it on is useful when developing new fault types.
 
     Raises:
         FaultModelError: from the model itself, or wrapping a structural

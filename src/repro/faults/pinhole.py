@@ -142,10 +142,6 @@ class PinholeFault(FaultModel):
     # conductance stamp on that shared base.
     # ------------------------------------------------------------------
     @property
-    def supports_overlay(self) -> bool:
-        return True
-
-    @property
     def overlay_base_key(self) -> str:
         return f"pinhole:{self.device}@pos{self.position:.4f}"
 

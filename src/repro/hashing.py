@@ -30,6 +30,7 @@ from hashlib import blake2b
 
 __all__ = [
     "FIELD_SEPARATOR",
+    "attribute_signature",
     "content_digest",
     "float_token",
     "floats_token",
@@ -80,6 +81,18 @@ def content_digest(fields: Iterable[str], *, digest_size: int = 16) -> str:
     payload = FIELD_SEPARATOR.join(fields)
     return blake2b(payload.encode("utf-8"),
                    digest_size=digest_size).hexdigest()
+
+
+def attribute_signature(obj) -> str:
+    """Class name plus every plain instance attribute, ``|``-joined.
+
+    Attributes are sorted by name and serialized with :func:`repr`, so
+    two objects of one class sign equal exactly when their state
+    (sources, probes, modes, sample rates, ...) is equal.
+    """
+    state = getattr(obj, "__dict__", {})
+    return "|".join([type(obj).__name__,
+                     *(f"{attr}={state[attr]!r}" for attr in sorted(state))])
 
 
 def netlist_digest(netlist: str) -> str:

@@ -60,7 +60,7 @@ def _overlay_views(ctx: LintContext) -> dict:
 
 
 def _resolve_stamps(ctx: LintContext, fault):
-    """``(view, stamps, error_message)`` for one overlay-capable fault.
+    """``(view, stamps, error_message)`` for one fault.
 
     The overlay base is built (cheaply — a netlist copy at most) and
     memoized per ``overlay_base_key``; failures come back as a message
@@ -150,8 +150,6 @@ def check_stamp_range(ctx: LintContext):
     if ctx.circuit is None:
         return
     for fault in ctx.faults:
-        if not fault.supports_overlay:
-            continue
         view, stamps, failure = _resolve_stamps(ctx, fault)
         if failure is not None:
             yield Diagnostic(
@@ -191,8 +189,6 @@ def check_stamp_sanity(ctx: LintContext):
     if ctx.circuit is None:
         return
     for fault in ctx.faults:
-        if not fault.supports_overlay:
-            continue
         _, stamps, failure = _resolve_stamps(ctx, fault)
         if failure is not None:
             continue  # fault.stamp-range already reports this
@@ -251,8 +247,6 @@ def check_equivalent_stamps(ctx: LintContext):
     pattern: dict[tuple, list[str]] = {}
     conductances: dict[tuple, set[float]] = {}
     for fault in ctx.faults:
-        if not fault.supports_overlay:
-            continue
         _, stamps, failure = _resolve_stamps(ctx, fault)
         if failure is not None or not stamps:
             continue

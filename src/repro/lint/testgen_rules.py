@@ -24,6 +24,7 @@ from repro.circuit.elements import (
     VCVS,
     VoltageSource,
 )
+from repro.hashing import attribute_signature
 from repro.lint.core import (
     ERROR,
     WARNING,
@@ -76,14 +77,9 @@ def check_duplicate_config(ctx: LintContext):
 
     # Same content under different names wastes generation slots.
     def signature(config):
-        # Full procedure state (plain __init__ attributes: sources,
-        # probes, post-processing modes, sample rates, ...) plus the
-        # parameter space.  Two configurations matching on all of it
-        # measure the same thing.
-        parts = [type(config.procedure).__name__]
-        state = getattr(config.procedure, "__dict__", {})
-        for attr in sorted(state):
-            parts.append(f"{attr}={state[attr]!r}")
+        # Full procedure state plus the parameter space.  Two
+        # configurations matching on all of it measure the same thing.
+        parts = [attribute_signature(config.procedure)]
         for parameter in config.parameters:
             parts.append(f"{parameter.name}:{parameter.lower!r}:"
                          f"{parameter.upper!r}:{parameter.seed!r}")

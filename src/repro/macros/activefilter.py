@@ -26,10 +26,6 @@ macro whose internals are mostly unobservable.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import numpy as np
-
 from repro.circuit import Circuit, CircuitBuilder
 from repro.errors import TestGenerationError
 from repro.faults.dictionary import FaultDictionary
@@ -38,20 +34,12 @@ from repro.macros import blocks
 from repro.macros.base import Macro
 from repro.testgen.configuration import (
     ReturnValueSpec,
-    TestConfiguration,
     TestConfigurationDescription,
 )
 from repro.testgen.parameters import BoundParameter, ParameterSpec
 from repro.testgen.procedures import DCProcedure, Probe
-from repro.tolerance.box import BoxFunction, ConstantBoxFunction
-from repro.tolerance.calibrate import calibrate_box_function
 
 __all__ = ["ActiveFilterMacro"]
-
-_FAST_BOXES = {
-    "dc-out": (0.05,),  # V at the ladder output
-    "dc-mid": (0.05,),  # V at the mid-ladder tap
-}
 
 
 class ActiveFilterMacro(Macro):
@@ -65,6 +53,12 @@ class ActiveFilterMacro(Macro):
 
     name = "actfilt"
     macro_type = "active-filter"
+
+    #: Constant box half-widths for ``box_mode="fast"``.
+    FAST_BOXES = {
+        "dc-out": (0.05,),  # V at the ladder output
+        "dc-mid": (0.05,),  # V at the mid-ladder tap
+    }
 
     INPUT_SOURCE = "VIN"
 
@@ -149,48 +143,3 @@ class ActiveFilterMacro(Macro):
             return DCProcedure(self.INPUT_SOURCE, "level",
                                (Probe("v", self.mid_tap),))
         raise TestGenerationError(f"unknown configuration {name!r}")
-
-    def _box_function(self, name: str, box_mode: str,
-                      cache_dir: Path | str | None) -> BoxFunction:
-        if box_mode == "fast":
-            return ConstantBoxFunction(_FAST_BOXES[name])
-        if box_mode != "calibrated":
-            raise TestGenerationError(
-                f"box_mode must be 'fast' or 'calibrated', got {box_mode!r}")
-        procedure = self._procedure(name)
-        parameters = self._bound_parameters(name)
-        bounds = np.array([[p.lower, p.upper] for p in parameters])
-        names = [p.name for p in parameters]
-        nominal_cache: dict[tuple[float, ...], np.ndarray] = {}
-
-        def evaluate(circuit, point):
-            point = np.atleast_1d(np.asarray(point, float))
-            params = dict(zip(names, point))
-            key = tuple(point.tolist())
-            nominal_raw = nominal_cache.get(key)
-            if nominal_raw is None:
-                nominal_raw = procedure.simulate(self.circuit, params,
-                                                 self.options)
-                nominal_cache[key] = nominal_raw
-            raw = procedure.simulate(circuit, params, self.options)
-            return procedure.deviations(nominal_raw, raw)
-
-        return calibrate_box_function(
-            evaluate, self.circuit, self.process_variation, bounds,
-            tag=f"{self.name}{self.n_sections}/{name}", points_per_axis=3,
-            n_samples=10, cache_dir=cache_dir)
-
-    def test_configurations(
-        self, box_mode: str = "fast",
-        cache_dir: Path | str | None = None,
-    ) -> tuple[TestConfiguration, ...]:
-        configs = []
-        for description in self.configuration_descriptions():
-            configs.append(TestConfiguration(
-                description=description,
-                parameters=self._bound_parameters(description.name),
-                procedure=self._procedure(description.name),
-                box_function=self._box_function(description.name, box_mode,
-                                                cache_dir),
-                equipment=self.equipment))
-        return tuple(configs)

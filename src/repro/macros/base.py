@@ -13,12 +13,23 @@ needs about one macro:
   box functions),
 * the process-variation and tester-accuracy models.
 
-Box functions come in two modes:
+The configurations of a built-in macro are assembled here, once, from
+three per-macro hooks (:meth:`Macro.configuration_descriptions`,
+``_bound_parameters`` and ``_procedure``).  Their box functions come in
+two modes, also implemented here:
 
-* ``"fast"`` — conservative constant half-widths shipped with the macro;
-  instant, used by unit tests and interactive exploration;
+* ``"fast"`` — the conservative constant half-widths of
+  :attr:`Macro.FAST_BOXES`; instant, used by unit tests and interactive
+  exploration;
 * ``"calibrated"`` — Monte-Carlo calibration against the macro's process
-  variation (cached on disk), used by the experiment benches.
+  variation (:func:`~repro.tolerance.calibrate.calibrate_box_function`,
+  :attr:`Macro.CALIBRATION_SAMPLES` variants per grid point), used by the
+  experiment benches.  The on-disk cache is keyed by content: the
+  netlist, the procedure's full state, the process variation and the
+  simulator options.
+
+A custom macro may instead override :meth:`Macro.test_configurations`
+outright.
 """
 
 from __future__ import annotations
@@ -26,14 +37,25 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from pathlib import Path
 
+import numpy as np
+
 from repro.analysis import DEFAULT_OPTIONS, SimOptions
 from repro.circuit.netlist import Circuit
+from repro.errors import TestGenerationError
 from repro.faults.dictionary import (
     FaultDictionary,
     exhaustive_fault_dictionary,
 )
-from repro.testgen.configuration import TestConfiguration
+from repro.hashing import attribute_signature, content_digest, netlist_digest
+from repro.testgen.configuration import (
+    TestConfiguration,
+    TestConfigurationDescription,
+)
 from repro.testgen.execution import MacroTestbench
+from repro.testgen.parameters import BoundParameter
+from repro.testgen.procedures import MeasurementProcedure
+from repro.tolerance.box import BoxFunction, ConstantBoxFunction
+from repro.tolerance.calibrate import calibrate_box_function
 from repro.tolerance.equipment import DEFAULT_EQUIPMENT, EquipmentSpec
 from repro.tolerance.process import DEFAULT_PROCESS, ProcessVariation
 
@@ -48,6 +70,12 @@ class Macro(ABC):
 
     #: Macro type; test-configuration descriptions are shared per type.
     macro_type: str = "generic"
+
+    #: Constant box half-widths per configuration name (``"fast"`` mode).
+    FAST_BOXES: dict[str, tuple[float, ...]]
+
+    #: Monte-Carlo process variants per calibration grid point.
+    CALIBRATION_SAMPLES: int = 10
 
     def __init__(self,
                  process_variation: ProcessVariation = DEFAULT_PROCESS,
@@ -88,7 +116,19 @@ class Macro(ABC):
     # ------------------------------------------------------------------
     # test knowledge
     # ------------------------------------------------------------------
-    @abstractmethod
+    def configuration_descriptions(
+            self) -> tuple[TestConfigurationDescription, ...]:
+        """The macro type's test-configuration templates."""
+        raise NotImplementedError
+
+    def _bound_parameters(self, name: str) -> tuple[BoundParameter, ...]:
+        """Bounds and seed of every parameter of configuration *name*."""
+        raise NotImplementedError
+
+    def _procedure(self, name: str) -> MeasurementProcedure:
+        """The measurement procedure of configuration *name*."""
+        raise NotImplementedError
+
     def test_configurations(
         self, box_mode: str = "fast",
         cache_dir: Path | str | None = None,
@@ -100,6 +140,55 @@ class Macro(ABC):
                 ``"calibrated"`` (Monte-Carlo, cached under *cache_dir*).
             cache_dir: calibration cache directory.
         """
+        configs = []
+        for description in self.configuration_descriptions():
+            name = description.name
+            parameters = self._bound_parameters(name)
+            procedure = self._procedure(name)
+            configs.append(TestConfiguration(
+                description=description, parameters=parameters,
+                procedure=procedure,
+                box_function=self._box_function(
+                    name, parameters, procedure, box_mode, cache_dir),
+                equipment=self.equipment))
+        return tuple(configs)
+
+    def _box_function(self, name: str,
+                      parameters: tuple[BoundParameter, ...],
+                      procedure: MeasurementProcedure, box_mode: str,
+                      cache_dir: Path | str | None) -> BoxFunction:
+        if box_mode == "fast":
+            return ConstantBoxFunction(self.FAST_BOXES[name])
+        if box_mode != "calibrated":
+            raise TestGenerationError(
+                f"box_mode must be 'fast' or 'calibrated', got {box_mode!r}")
+        bounds = np.array([[p.lower, p.upper] for p in parameters])
+        names = [p.name for p in parameters]
+        nominal_cache: dict[tuple[float, ...], np.ndarray] = {}
+
+        def evaluate(circuit, point):
+            point = np.atleast_1d(np.asarray(point, float))
+            params = dict(zip(names, point))
+            key = tuple(point.tolist())
+            nominal_raw = nominal_cache.get(key)
+            if nominal_raw is None:
+                nominal_raw = procedure.simulate(self.circuit, params,
+                                                 self.options)
+                nominal_cache[key] = nominal_raw
+            raw = procedure.simulate(circuit, params, self.options)
+            return procedure.deviations(nominal_raw, raw)
+
+        # Everything the calibrated values depend on besides what the
+        # calibrator keys itself (bounds, grid, samples, seed).
+        digest = content_digest((
+            netlist_digest(self.circuit.to_netlist()),
+            attribute_signature(procedure),
+            repr(self.process_variation),
+            repr(self.options)))
+        return calibrate_box_function(
+            evaluate, self.circuit, self.process_variation, bounds,
+            tag=f"{self.name}/{name}@{digest}", points_per_axis=3,
+            n_samples=self.CALIBRATION_SAMPLES, cache_dir=cache_dir)
 
     def testbench(self, box_mode: str = "fast",
                   cache_dir: Path | str | None = None) -> MacroTestbench:

@@ -39,16 +39,11 @@ paper's 100 MHz — a pure time-discretization economy; pass
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import numpy as np
-
 from repro.circuit import Circuit, CircuitBuilder, MosfetParams
 from repro.errors import TestGenerationError
 from repro.macros.base import Macro
 from repro.testgen.configuration import (
     ReturnValueSpec,
-    TestConfiguration,
     TestConfigurationDescription,
 )
 from repro.testgen.parameters import BoundParameter, ParameterSpec
@@ -58,8 +53,6 @@ from repro.testgen.procedures import (
     SineTHDProcedure,
     StepProcedure,
 )
-from repro.tolerance.box import BoxFunction, ConstantBoxFunction
-from repro.tolerance.calibrate import calibrate_box_function
 
 __all__ = ["IVConverterMacro", "IV_NMOS", "IV_PMOS"]
 
@@ -68,16 +61,6 @@ IV_NMOS = MosfetParams(kind="nmos", vto=0.8, kp=60e-6, lam=0.02,
                        gamma=0.4, phi=0.7)
 IV_PMOS = MosfetParams(kind="pmos", vto=-0.85, kp=22e-6, lam=0.03,
                        gamma=0.5, phi=0.7)
-
-#: Conservative constant box half-widths for ``box_mode="fast"``,
-#: hand-set from Monte-Carlo dry runs (see tests/macros/test_ivconverter).
-_FAST_BOXES = {
-    "dc-output": (0.030,),          # V
-    "dc-supply-current": (12e-6,),  # A
-    "thd": (0.40,),                 # THD percentage points
-    "step-max": (0.040,),           # V
-    "step-accumulate": (0.030,),    # V (mean abs deviation)
-}
 
 
 class IVConverterMacro(Macro):
@@ -93,6 +76,19 @@ class IVConverterMacro(Macro):
 
     name = "ivconv"
     macro_type = "iv-converter"
+
+    #: Conservative constant box half-widths for ``box_mode="fast"``,
+    #: hand-set from Monte-Carlo dry runs.
+    FAST_BOXES = {
+        "dc-output": (0.030,),          # V
+        "dc-supply-current": (12e-6,),  # A
+        "thd": (0.40,),                 # THD percentage points
+        "step-max": (0.040,),           # V
+        "step-accumulate": (0.030,),    # V (mean abs deviation)
+    }
+
+    #: Monte-Carlo process variants per calibration grid point.
+    CALIBRATION_SAMPLES = 12
 
     #: The paper's 10 circuit nodes (= 45 bridging pairs).
     STANDARD_NODES = ("vdd", "0", "vref", "nbias", "ntail",
@@ -250,49 +246,3 @@ class IVConverterMacro(Macro):
                 sample_rate=self.sample_rate, test_time=7.5e-6,
                 t_step=10e-9, slew_rate=800.0)
         raise TestGenerationError(f"unknown configuration {name!r}")
-
-    def _box_function(self, name: str, box_mode: str,
-                      cache_dir: Path | str | None) -> BoxFunction:
-        if box_mode == "fast":
-            return ConstantBoxFunction(_FAST_BOXES[name])
-        if box_mode != "calibrated":
-            raise TestGenerationError(
-                f"box_mode must be 'fast' or 'calibrated', got {box_mode!r}")
-        procedure = self._procedure(name)
-        parameters = self._bound_parameters(name)
-        bounds = np.array([[p.lower, p.upper] for p in parameters])
-        names = [p.name for p in parameters]
-
-        nominal_cache: dict[tuple[float, ...], np.ndarray] = {}
-
-        def evaluate(circuit, point):
-            point = np.atleast_1d(np.asarray(point, float))
-            params = dict(zip(names, point))
-            key = tuple(point.tolist())
-            nominal_raw = nominal_cache.get(key)
-            if nominal_raw is None:
-                nominal_raw = procedure.simulate(self.circuit, params,
-                                                 self.options)
-                nominal_cache[key] = nominal_raw
-            raw = procedure.simulate(circuit, params, self.options)
-            return procedure.deviations(nominal_raw, raw)
-
-        return calibrate_box_function(
-            evaluate, self.circuit, self.process_variation, bounds,
-            tag=f"{self.name}/{name}", points_per_axis=3, n_samples=12,
-            cache_dir=cache_dir)
-
-    def test_configurations(
-        self, box_mode: str = "fast",
-        cache_dir: Path | str | None = None,
-    ) -> tuple[TestConfiguration, ...]:
-        configs = []
-        for description in self.configuration_descriptions():
-            configs.append(TestConfiguration(
-                description=description,
-                parameters=self._bound_parameters(description.name),
-                procedure=self._procedure(description.name),
-                box_function=self._box_function(description.name, box_mode,
-                                                cache_dir),
-                equipment=self.equipment))
-        return tuple(configs)

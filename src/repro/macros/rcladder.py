@@ -17,29 +17,17 @@ model unobservable routing) — 6 bridging faults, no pinholes.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import numpy as np
-
 from repro.circuit import Circuit, CircuitBuilder
 from repro.errors import TestGenerationError
 from repro.macros.base import Macro
 from repro.testgen.configuration import (
     ReturnValueSpec,
-    TestConfiguration,
     TestConfigurationDescription,
 )
 from repro.testgen.parameters import BoundParameter, ParameterSpec
 from repro.testgen.procedures import DCProcedure, Probe, StepProcedure
-from repro.tolerance.box import BoxFunction, ConstantBoxFunction
-from repro.tolerance.calibrate import calibrate_box_function
 
 __all__ = ["RCLadderMacro"]
-
-_FAST_BOXES = {
-    "dc-out": (0.12,),       # V
-    "step-mean": (0.06,),    # V
-}
 
 
 class RCLadderMacro(Macro):
@@ -47,6 +35,12 @@ class RCLadderMacro(Macro):
 
     name = "rcladder"
     macro_type = "rc-ladder"
+
+    #: Constant box half-widths for ``box_mode="fast"``.
+    FAST_BOXES = {
+        "dc-out": (0.12,),       # V
+        "step-mean": (0.06,),    # V
+    }
 
     STANDARD_NODES = ("vin", "n1", "vout", "0")
     INPUT_SOURCE = "VIN"
@@ -119,48 +113,3 @@ class RCLadderMacro(Macro):
                 elev_param="elev", mode="accumulate", sample_rate=10e6,
                 test_time=5e-6, t_step=100e-9, slew_rate=1e8)
         raise TestGenerationError(f"unknown configuration {name!r}")
-
-    def _box_function(self, name: str, box_mode: str,
-                      cache_dir: Path | str | None) -> BoxFunction:
-        if box_mode == "fast":
-            return ConstantBoxFunction(_FAST_BOXES[name])
-        if box_mode != "calibrated":
-            raise TestGenerationError(
-                f"box_mode must be 'fast' or 'calibrated', got {box_mode!r}")
-        procedure = self._procedure(name)
-        parameters = self._bound_parameters(name)
-        bounds = np.array([[p.lower, p.upper] for p in parameters])
-        names = [p.name for p in parameters]
-        nominal_cache: dict[tuple[float, ...], np.ndarray] = {}
-
-        def evaluate(circuit, point):
-            point = np.atleast_1d(np.asarray(point, float))
-            params = dict(zip(names, point))
-            key = tuple(point.tolist())
-            nominal_raw = nominal_cache.get(key)
-            if nominal_raw is None:
-                nominal_raw = procedure.simulate(self.circuit, params,
-                                                 self.options)
-                nominal_cache[key] = nominal_raw
-            raw = procedure.simulate(circuit, params, self.options)
-            return procedure.deviations(nominal_raw, raw)
-
-        return calibrate_box_function(
-            evaluate, self.circuit, self.process_variation, bounds,
-            tag=f"{self.name}/{name}", points_per_axis=3, n_samples=10,
-            cache_dir=cache_dir)
-
-    def test_configurations(
-        self, box_mode: str = "fast",
-        cache_dir: Path | str | None = None,
-    ) -> tuple[TestConfiguration, ...]:
-        configs = []
-        for description in self.configuration_descriptions():
-            configs.append(TestConfiguration(
-                description=description,
-                parameters=self._bound_parameters(description.name),
-                procedure=self._procedure(description.name),
-                box_function=self._box_function(description.name, box_mode,
-                                                cache_dir),
-                equipment=self.equipment))
-        return tuple(configs)

@@ -29,10 +29,6 @@ fault dictionary is IFA-weighted and trimmed to the most likely faults
 
 from __future__ import annotations
 
-from pathlib import Path
-
-import numpy as np
-
 from repro.circuit import Circuit, CircuitBuilder
 from repro.errors import TestGenerationError
 from repro.faults.dictionary import FaultDictionary
@@ -42,21 +38,12 @@ from repro.macros.base import Macro
 from repro.macros.ivconverter import IV_NMOS, IV_PMOS
 from repro.testgen.configuration import (
     ReturnValueSpec,
-    TestConfiguration,
     TestConfigurationDescription,
 )
 from repro.testgen.parameters import BoundParameter, ParameterSpec
 from repro.testgen.procedures import DCProcedure, Probe, StepProcedure
-from repro.tolerance.box import BoxFunction, ConstantBoxFunction
-from repro.tolerance.calibrate import calibrate_box_function
 
 __all__ = ["TwoStageOpampMacro"]
-
-_FAST_BOXES = {
-    "dc-transfer": (0.08,),        # V (closed-loop gain 2: tight)
-    "dc-supply-current": (6e-6,),  # A
-    "step-settle": (0.08,),        # V mean abs deviation
-}
 
 
 class TwoStageOpampMacro(Macro):
@@ -64,6 +51,13 @@ class TwoStageOpampMacro(Macro):
 
     name = "miller2"
     macro_type = "two-stage-opamp"
+
+    #: Constant box half-widths for ``box_mode="fast"``.
+    FAST_BOXES = {
+        "dc-transfer": (0.08,),        # V (closed-loop gain 2: tight)
+        "dc-supply-current": (6e-6,),  # A
+        "step-settle": (0.08,),        # V mean abs deviation
+    }
 
     STANDARD_NODES = ("vdd", "0", "vinp", "vinn", "nbias", "ntail",
                       "n1", "n2", "vout")
@@ -182,48 +176,3 @@ class TwoStageOpampMacro(Macro):
                 elev_param="elev", mode="accumulate", sample_rate=20e6,
                 test_time=4e-6, t_step=50e-9, slew_rate=10e6)
         raise TestGenerationError(f"unknown configuration {name!r}")
-
-    def _box_function(self, name: str, box_mode: str,
-                      cache_dir: Path | str | None) -> BoxFunction:
-        if box_mode == "fast":
-            return ConstantBoxFunction(_FAST_BOXES[name])
-        if box_mode != "calibrated":
-            raise TestGenerationError(
-                f"box_mode must be 'fast' or 'calibrated', got {box_mode!r}")
-        procedure = self._procedure(name)
-        parameters = self._bound_parameters(name)
-        bounds = np.array([[p.lower, p.upper] for p in parameters])
-        names = [p.name for p in parameters]
-        nominal_cache: dict[tuple[float, ...], np.ndarray] = {}
-
-        def evaluate(circuit, point):
-            point = np.atleast_1d(np.asarray(point, float))
-            params = dict(zip(names, point))
-            key = tuple(point.tolist())
-            nominal_raw = nominal_cache.get(key)
-            if nominal_raw is None:
-                nominal_raw = procedure.simulate(self.circuit, params,
-                                                 self.options)
-                nominal_cache[key] = nominal_raw
-            raw = procedure.simulate(circuit, params, self.options)
-            return procedure.deviations(nominal_raw, raw)
-
-        return calibrate_box_function(
-            evaluate, self.circuit, self.process_variation, bounds,
-            tag=f"{self.name}/{name}", points_per_axis=3, n_samples=10,
-            cache_dir=cache_dir)
-
-    def test_configurations(
-        self, box_mode: str = "fast",
-        cache_dir: Path | str | None = None,
-    ) -> tuple[TestConfiguration, ...]:
-        configs = []
-        for description in self.configuration_descriptions():
-            configs.append(TestConfiguration(
-                description=description,
-                parameters=self._bound_parameters(description.name),
-                procedure=self._procedure(description.name),
-                box_function=self._box_function(description.name, box_mode,
-                                                cache_dir),
-                equipment=self.equipment))
-        return tuple(configs)

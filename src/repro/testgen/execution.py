@@ -9,10 +9,9 @@ configurations x dozens of optimizer steps hit the simulator.
 
 Each executor owns one :class:`~repro.analysis.engine.SimulationEngine`
 (one per configuration, so warm-start state tracks that configuration's
-stimulus trajectory): faulty simulations of overlay-capable fault models
-are served as conductance stamps on a compiled base instead of a netlist
-copy plus recompile, and only fault types outside the overlay protocol
-fall back to the legacy cached-faulty-circuit path.
+stimulus trajectory), and every simulation goes through it: nominal
+observations from the compiled nominal base, faulty ones as conductance
+stamps on a compiled overlay base, never a netlist copy plus recompile.
 
 :class:`MacroTestbench` bundles the executors of all configurations of a
 macro and is the object the generation algorithm drives.
@@ -59,6 +58,9 @@ _LOG = get_logger("testgen.execution")
 #: Deviation assigned when a faulty circuit cannot be simulated at all.
 _FAILED_SIMULATION_DEVIATION = 1e9
 
+#: Bound on each executor's nominal raw-observation LRU.
+NOMINAL_CACHE_SIZE = 256
+
 
 @dataclass
 class ExecutorStats:
@@ -68,7 +70,6 @@ class ExecutorStats:
         nominal_simulations / faulty_simulations: simulator invocations.
         nominal_cache_hits: nominal observations served from the LRU.
         nominal_cache_evictions: nominal LRU entries dropped at capacity.
-        faulty_cache_evictions: legacy faulty-circuit LRU entries dropped.
         overlay_simulations: faulty simulations served by the engine's
             overlay path (no netlist copy, no recompile).
         screened_simulations: faulty evaluations served by the batched
@@ -83,7 +84,6 @@ class ExecutorStats:
     faulty_simulations: int = 0
     nominal_cache_hits: int = 0
     nominal_cache_evictions: int = 0
-    faulty_cache_evictions: int = 0
     overlay_simulations: int = 0
     screened_simulations: int = 0
     screen_margin_confirms: int = 0
@@ -114,17 +114,13 @@ class TestExecutor:
         validate_overlay: forwarded to the engine — cross-check every
             overlay simulation against the legacy path (debug mode).
             ``True`` also switches a pre-built *engine* into validation.
-        nominal_cache_size: bound on the nominal raw-observation LRU.
-        faulty_cache_size: bound on the legacy faulty-circuit LRU.
     """
 
     def __init__(self, nominal_circuit: Circuit,
                  configuration: TestConfiguration,
                  options: SimOptions = DEFAULT_OPTIONS, *,
                  engine: SimulationEngine | None = None,
-                 validate_overlay: bool = False,
-                 nominal_cache_size: int = 256,
-                 faulty_cache_size: int = 64) -> None:
+                 validate_overlay: bool = False) -> None:
         self.nominal_circuit = nominal_circuit
         self.configuration = configuration
         self.options = options
@@ -136,8 +132,8 @@ class TestExecutor:
             if engine.options != options:
                 raise TestGenerationError(
                     "executor engine was built with different SimOptions; "
-                    "overlay and legacy-fallback simulations would solve "
-                    "to different tolerances")
+                    "its simulations and the executor's Monte Carlo "
+                    "screens would solve to different tolerances")
             if validate_overlay:
                 engine.validate_overlay = True
             self.engine = engine
@@ -145,11 +141,8 @@ class TestExecutor:
             self.engine = SimulationEngine(
                 nominal_circuit, options, validate_overlay=validate_overlay)
         self.stats = ExecutorStats()
-        self.nominal_cache_size = max(1, nominal_cache_size)
-        self.faulty_cache_size = max(1, faulty_cache_size)
         self._nominal_cache: OrderedDict[tuple[int, ...], np.ndarray] = \
             OrderedDict()
-        self._faulty_cache: OrderedDict[str, Circuit] = OrderedDict()
 
     # ------------------------------------------------------------------
     # raw simulation layer
@@ -170,74 +163,32 @@ class TestExecutor:
             self._nominal_cache.move_to_end(key)
             self.stats.nominal_cache_hits += 1
             return cached
-        procedure = self.configuration.procedure
-        if procedure.supports_compiled:
-            raw = self.engine.simulate_nominal(
-                procedure, params.to_dict(vector),
-                warm=WarmStart() if canonical else None)
-        else:
-            raw = procedure.simulate(self.nominal_circuit,
-                                     params.to_dict(vector), self.options)
+        raw = self.engine.simulate_nominal(
+            self.configuration.procedure, params.to_dict(vector),
+            warm=WarmStart() if canonical else None)
         self.stats.nominal_simulations += 1
         self._nominal_cache[key] = raw
-        while len(self._nominal_cache) > self.nominal_cache_size:
+        while len(self._nominal_cache) > NOMINAL_CACHE_SIZE:
             self._nominal_cache.popitem(last=False)
             self.stats.nominal_cache_evictions += 1
         return raw
 
-    def observed_raw(self, circuit: Circuit,
-                     vector: Sequence[float]) -> np.ndarray:
-        """Raw observation of an arbitrary circuit at *vector* (uncached)."""
-        params = self.configuration.parameters
-        raw = self.configuration.procedure.simulate(
-            circuit, params.to_dict(vector), self.options)
-        self.stats.faulty_simulations += 1
-        return raw
-
     def faulty_raw(self, fault: FaultModel, vector: Sequence[float], *,
                    warm: WarmStart | None = None) -> np.ndarray:
-        """Raw observation with *fault* injected (overlay fast path).
-
-        Overlay-capable faults are stamped onto the engine's compiled
-        base; others go through the legacy cached netlist copy.  *warm*
-        overrides the engine's per-(base, fault) warm slot (canonical
-        callers pass their own).
+        """Raw observation with *fault* stamped onto the engine's compiled
+        overlay base.  *warm* overrides the engine's per-(base, fault)
+        warm slot (canonical callers pass their own).
         """
-        procedure = self.configuration.procedure
-        if self.engine.supports(fault, procedure):
-            params = self.configuration.parameters.to_dict(vector)
-            raw = self.engine.simulate_fault(procedure, params, fault,
-                                             warm=warm)
-            self.stats.faulty_simulations += 1
-            self.stats.overlay_simulations += 1
-            return raw
-        return self.observed_raw(self._faulty_circuit(fault), vector)
-
-    def _faulty_circuit(self, fault: FaultModel) -> Circuit:
-        """Legacy-path faulty netlist, LRU-cached by exact cache key."""
-        key = fault.cache_key
-        circuit = self._faulty_cache.get(key)
-        if circuit is not None:
-            self._faulty_cache.move_to_end(key)
-            return circuit
-        circuit = fault.apply(self.nominal_circuit)
-        self._faulty_cache[key] = circuit
-        # Keep the cache bounded: adaptation explores many impacts.
-        while len(self._faulty_cache) > self.faulty_cache_size:
-            self._faulty_cache.popitem(last=False)
-            self.stats.faulty_cache_evictions += 1
-        return circuit
+        params = self.configuration.parameters.to_dict(vector)
+        raw = self.engine.simulate_fault(self.configuration.procedure,
+                                         params, fault, warm=warm)
+        self.stats.faulty_simulations += 1
+        self.stats.overlay_simulations += 1
+        return raw
 
     # ------------------------------------------------------------------
     # derived quantities
     # ------------------------------------------------------------------
-    def deviations(self, circuit: Circuit,
-                   vector: Sequence[float]) -> np.ndarray:
-        """Deviation return values of *circuit* versus nominal."""
-        nominal = self.nominal_raw(vector)
-        observed = self.observed_raw(circuit, vector)
-        return self.configuration.procedure.deviations(nominal, observed)
-
     def boxes(self, vector: Sequence[float], *,
               canonical: bool = False) -> np.ndarray:
         """Tolerance-box half-widths (spread + 2x equipment error).

@@ -17,16 +17,17 @@ fault-simulation calls behind a generation run.
 
 Each procedure offers two simulation paths:
 
-* :meth:`MeasurementProcedure.simulate` — the legacy path: derive a
-  stimulated netlist copy and compile it.  Kept as the reference for the
-  engine's ``validate_overlay`` cross-check and as the fallback for
-  fault types outside the overlay protocol.
-* :meth:`MeasurementProcedure.simulate_compiled` — the compile-once path
-  driven by :class:`repro.analysis.engine.SimulationEngine`: the stimulus
+* :meth:`MeasurementProcedure.simulate_compiled` — the one path faults
+  are simulated on, driven by
+  :class:`repro.analysis.engine.SimulationEngine`: the stimulus
   parameters are *patched* into an already-compiled circuit
   (:meth:`CompiledCircuit.patched_source`) and the DC solve warm-starts
   from the engine-provided :class:`~repro.analysis.engine.WarmStart`
   slot.  No netlist copy, no compilation.
+* :meth:`MeasurementProcedure.simulate` — the reference path: derive a
+  stimulated netlist copy and compile it.  Only the engine's
+  ``validate_overlay`` cross-check and box-function calibration (on
+  per-sample process variants) call it.
 
 Procedures are macro-agnostic: node and source names are constructor
 arguments, so the same classes serve any macro type.
@@ -94,12 +95,6 @@ class MeasurementProcedure(ABC):
     #: Number of scalar return values produced by :meth:`deviations`.
     n_return_values: int = 1
 
-    #: True when :meth:`simulate_compiled` is implemented.  The engine
-    #: checks this before routing a simulation to the overlay path, so a
-    #: procedure without it safely falls back to copy+recompile instead
-    #: of silently dropping the fault overlay.
-    supports_compiled: bool = False
-
     #: True when the procedure's raw observation is a pure function of a
     #: single DC operating point, making it servable by batched SMW fault
     #: screening (:meth:`SimulationEngine.screen_faults`).  Requires the
@@ -111,6 +106,7 @@ class MeasurementProcedure(ABC):
                  options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
         """Apply the stimulus for *params* and return the raw observation."""
 
+    @abstractmethod
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],
                           options: SimOptions = DEFAULT_OPTIONS,
@@ -122,9 +118,6 @@ class MeasurementProcedure(ABC):
         DC solve from *warm* (a :class:`repro.analysis.engine.WarmStart`)
         when provided.  Must leave *compiled* unmodified on exit.
         """
-        raise TestGenerationError(
-            f"{type(self).__name__} does not implement the compile-once "
-            "simulation path (supports_compiled is False)")
 
     # ------------------------------------------------------------------
     # batched-screening protocol (DC-operating-point procedures only)
@@ -220,7 +213,6 @@ class DCProcedure(MeasurementProcedure):
         probes: observed quantities (one return value each).
     """
 
-    supports_compiled = True
     supports_screening = True
 
     def __init__(self, source: str, level_param: str,
@@ -309,8 +301,6 @@ class SineTHDProcedure(MeasurementProcedure):
         self.n_harmonics = n_harmonics
         self.n_return_values = 1
 
-    supports_compiled = True
-
     def _stimulus(self, params: Mapping[str, float]) -> SineWave:
         dc = params[self.dc_param]
         freq = params[self.freq_param]
@@ -395,8 +385,6 @@ class StepProcedure(MeasurementProcedure):
         self.slew_rate = slew_rate
         self.n_return_values = 1
 
-    supports_compiled = True
-
     def simulate(self, circuit: Circuit, params: Mapping[str, float],
                  options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
         wave = StepWave(base=params[self.base_param],
@@ -473,8 +461,6 @@ class ACGainProcedure(MeasurementProcedure):
         self.bias_param = bias_param
         self.floor_db = floor_db
         self.n_return_values = 1
-
-    supports_compiled = True
 
     def _gain_db(self, result) -> np.ndarray:
         magnitude = float(np.abs(result.v(self.observe)[0]))

@@ -625,10 +625,8 @@ def screen_dictionary_montecarlo(
         # Group faults by overlay base so every family shares one
         # factorization; the fault-free pass rides on the nominal base
         # as a stamp-free fault slot.
-        overlay = [f for f in faults if f.supports_overlay]
-        legacy = [f for f in faults if not f.supports_overlay]
         groups: dict[str, list[FaultModel]] = {"nominal": []}
-        for fault in overlay:
+        for fault in faults:
             groups.setdefault(fault.overlay_base_key, []).append(fault)
         # The nominal group runs first (dict insertion order) and fills
         # this with its fault-free node voltages; every later overlay
@@ -666,13 +664,6 @@ def screen_dictionary_montecarlo(
                 k = fault_ids.index(fault.fault_id)
                 fault_raws[k] = raws[offset + j]
                 fault_ok[k] = ok[offset + j]
-        for fault in legacy:
-            k = fault_ids.index(fault.fault_id)
-            for s in range(n_samples):
-                raw = reference.raw(s, fault)
-                if raw is not None:
-                    fault_raws[k, s] = raw
-                    fault_ok[k, s] = True
     else:
         for s in range(n_samples):
             raw = reference.raw(s, None)

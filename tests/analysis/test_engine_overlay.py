@@ -9,6 +9,7 @@ from repro.analysis import (
     WarmStart,
     operating_point,
 )
+from repro.analysis import engine as engine_module
 from repro.circuit import CircuitBuilder
 from repro.circuit.elements import Resistor
 from repro.errors import (
@@ -234,9 +235,9 @@ class TestSimulationEngine:
         with pytest.raises(OverlayValidationError):
             engine.simulate_fault(proc, {"base": 20e-6}, fault)
 
-    def test_base_lru_keeps_nominal(self, iv_macro):
-        engine = SimulationEngine(iv_macro.circuit, iv_macro.options,
-                                  max_bases=2)
+    def test_base_lru_keeps_nominal(self, iv_macro, monkeypatch):
+        monkeypatch.setattr(engine_module, "MAX_BASES", 2)
+        engine = SimulationEngine(iv_macro.circuit, iv_macro.options)
         proc = DCProcedure("IIN", "base", (Probe("v", "vout"),))
         params = {"base": 20e-6}
         engine.simulate_fault(

@@ -59,10 +59,6 @@ class StampedFault(FaultModel):
         return circuit
 
     @property
-    def supports_overlay(self) -> bool:
-        return True
-
-    @property
     def overlay_base_key(self) -> str:
         return "nominal"
 

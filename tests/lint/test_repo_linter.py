@@ -259,6 +259,38 @@ class TestFanOutContract:
         assert code == 0
 
 
+class TestLegacyPathContract:
+    """Only the engine's reference and box calibration copy+recompile."""
+
+    TRIGGER = ("def observe(procedure, circuit, params, options):\n"
+               "    return procedure.simulate(circuit, params, options)\n")
+    CLEAN = ("def observe(procedure, compiled, params, options, warm):\n"
+             "    return procedure.simulate_compiled(compiled, params,\n"
+             "                                       options, warm=warm)\n")
+
+    def test_simulate_outside_engine_caught(self, linter, tmp_path, capsys):
+        code, output = run_on_snippet(
+            linter, tmp_path, self.TRIGGER, capsys,
+            as_module="repro.testgen.execution")
+        assert code == 1
+        assert "REPRO-LEGACY" in output
+
+    @pytest.mark.parametrize("module", ["repro.analysis.engine",
+                                        "repro.macros.base"])
+    def test_engine_and_calibration_are_the_exemptions(self, linter,
+                                                       tmp_path, capsys,
+                                                       module):
+        code, _ = run_on_snippet(linter, tmp_path, self.TRIGGER, capsys,
+                                 as_module=module)
+        assert code == 0
+
+    def test_compiled_path_is_clean(self, linter, tmp_path, capsys):
+        code, _ = run_on_snippet(
+            linter, tmp_path, self.CLEAN, capsys,
+            as_module="repro.testgen.execution")
+        assert code == 0
+
+
 class TestScoping:
     def test_sharding_seeds_are_reachable(self, linter):
         modules = linter.package_files()

@@ -14,6 +14,7 @@ import pytest
 from repro.analysis import SimulationEngine
 from repro.errors import AnalysisError, TestGenerationError
 from repro.faults import BridgingFault, exhaustive_fault_dictionary
+from repro.testgen import execution
 from repro.testgen.execution import (
     ExecutorStats,
     MacroTestbench,
@@ -158,8 +159,8 @@ class TestValidatedSensitivities:
 
         legacy_exec = Executor(iv_macro.circuit, config,
                                iv_macro.options)
-        legacy = legacy_exec.observed_raw(
-            legacy_exec._faulty_circuit(fault), [20e-6])
+        legacy = legacy_exec.engine.simulate_legacy(
+            config.procedure, config.parameters.to_dict([20e-6]), fault)
         nominal = legacy_exec.nominal_raw([20e-6])
         deviations = config.procedure.deviations(nominal, legacy)
         boxes = legacy_exec.boxes([20e-6])
@@ -230,10 +231,10 @@ class TestValidationPropagation:
 
 
 class TestExecutorCaches:
-    def test_nominal_lru_bounded_and_counted(self, rc_macro):
+    def test_nominal_lru_bounded_and_counted(self, rc_macro, monkeypatch):
+        monkeypatch.setattr(execution, "NOMINAL_CACHE_SIZE", 2)
         config = rc_macro.test_configurations()[0]
-        executor = Executor(rc_macro.circuit, config, rc_macro.options,
-                            nominal_cache_size=2)
+        executor = Executor(rc_macro.circuit, config, rc_macro.options)
         for level in (1.0, 2.0, 3.0):
             executor.nominal_raw([level])
         assert executor.stats.nominal_cache_evictions == 1
@@ -245,10 +246,11 @@ class TestExecutorCaches:
         executor.nominal_raw([1.0])
         assert executor.stats.nominal_simulations == sims + 1
 
-    def test_nominal_lru_recency_updated_on_hit(self, rc_macro):
+    def test_nominal_lru_recency_updated_on_hit(self, rc_macro,
+                                                monkeypatch):
+        monkeypatch.setattr(execution, "NOMINAL_CACHE_SIZE", 2)
         config = rc_macro.test_configurations()[0]
-        executor = Executor(rc_macro.circuit, config, rc_macro.options,
-                            nominal_cache_size=2)
+        executor = Executor(rc_macro.circuit, config, rc_macro.options)
         executor.nominal_raw([1.0])
         executor.nominal_raw([2.0])
         executor.nominal_raw([1.0])  # refresh 1.0 -> 2.0 becomes LRU
@@ -257,25 +259,11 @@ class TestExecutorCaches:
         executor.nominal_raw([1.0])
         assert executor.stats.nominal_simulations == sims
 
-    def test_faulty_circuit_lru(self, rc_macro):
-        config = rc_macro.test_configurations()[0]
-        executor = Executor(rc_macro.circuit, config, rc_macro.options,
-                            faulty_cache_size=2)
-        faults = [BridgingFault(node_a="vin", node_b="vout", impact=r)
-                  for r in (1e3, 2e3, 3e3)]
-        for fault in faults:
-            executor._faulty_circuit(fault)
-        assert executor.stats.faulty_cache_evictions == 1
-        assert len(executor._faulty_cache) == 2
-        first = executor._faulty_circuit(faults[2])
-        assert executor._faulty_circuit(faults[2]) is first
-
     def test_stats_merge_includes_new_fields(self):
         a = ExecutorStats(nominal_cache_evictions=2, overlay_simulations=5)
-        b = ExecutorStats(nominal_cache_evictions=1, faulty_cache_evictions=4)
+        b = ExecutorStats(nominal_cache_evictions=1)
         merged = a.merged(b)
         assert merged.nominal_cache_evictions == 3
-        assert merged.faulty_cache_evictions == 4
         assert merged.overlay_simulations == 5
 
 

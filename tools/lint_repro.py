@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Repo-level AST linter enforcing the backend, fan-out and determinism
-contracts.
+"""Repo-level AST linter enforcing the backend, fan-out, legacy-path and
+determinism contracts.
 
-Three rule families, all pure ``ast`` (no third-party imports, no code
+Four rule families, all pure ``ast`` (no third-party imports, no code
 execution):
 
 ``REPRO-LINALG``
@@ -21,6 +21,15 @@ execution):
     through its ``fan_out`` helper, so per-process state (one executor
     or testbench per worker), worker clamping and result ordering stay
     in one function.
+
+``REPRO-LEGACY``
+    A call to an attribute named ``simulate`` (a measurement
+    procedure's uncompiled copy+recompile path) is allowed only in
+    ``src/repro/analysis/engine.py`` (``simulate_legacy``, the
+    ``validate_overlay`` reference) and ``src/repro/macros/base.py``
+    (box calibration over process variants).  Every fault simulation
+    goes through the engine's overlay path, so a second execution path
+    cannot grow back.
 
 ``REPRO-NONDET``
     Modules reachable from the sharded execution paths
@@ -95,6 +104,10 @@ BANNED_FANOUT = {
     "concurrent.futures.ProcessPoolExecutor",
     "concurrent.futures.process.ProcessPoolExecutor",
 }
+
+#: The only modules allowed to call a procedure's uncompiled
+#: ``simulate``.
+LEGACY_MODULES = frozenset({"repro.analysis.engine", "repro.macros.base"})
 
 #: Wall-clock reads banned in deterministic modules.  ``time.monotonic``
 #: and ``time.perf_counter`` are allowed: they only gate *budgets*, the
@@ -210,7 +223,8 @@ def dotted_name(node: ast.expr, aliases: dict[str, str]) -> str | None:
 
 def lint_file(path: Path, *, check_linalg: bool, check_fanout: bool,
               check_determinism: bool,
-              check_serve_clock: bool = False) -> list[str]:
+              check_serve_clock: bool = False,
+              check_legacy: bool = False) -> list[str]:
     """All rule violations in one file, formatted for printing."""
     tree = parse(path)
     if tree is None:
@@ -227,6 +241,13 @@ def lint_file(path: Path, *, check_linalg: bool, check_fanout: bool,
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
+        if (check_legacy and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "simulate"):
+            report(node, "REPRO-LEGACY",
+                   "call to a procedure's uncompiled simulate(); simulate "
+                   "faults through SimulationEngine's overlay path "
+                   "(only the engine's simulate_legacy and box "
+                   "calibration in repro.macros.base may copy+recompile)")
         name = dotted_name(node.func, aliases)
         if name is None:
             continue
@@ -330,7 +351,8 @@ def main(argv: list[str]) -> int:
         # this is the mode tests use to lint fixture snippets.
         # ``--as-module`` overrides the path-derived module name, so a
         # fixture can be linted with the scoping of any repro module
-        # (serve clock confinement, backend and fan-out exemptions).
+        # (serve clock confinement, backend, fan-out and legacy-path
+        # exemptions).
         for path in explicit:
             if not path.exists():
                 print(f"{path}: no such file", file=sys.stderr)
@@ -343,7 +365,8 @@ def main(argv: list[str]) -> int:
                 check_fanout=(name != FANOUT_MODULE),
                 check_determinism=True,
                 check_serve_clock=(in_serve_package(name)
-                                   and name != SERVE_CLOCK_MODULE)))
+                                   and name != SERVE_CLOCK_MODULE),
+                check_legacy=(name not in LEGACY_MODULES)))
     else:
         modules = package_files()
         if not modules:
@@ -358,7 +381,8 @@ def main(argv: list[str]) -> int:
                 check_fanout=(name != FANOUT_MODULE),
                 check_determinism=(name in deterministic),
                 check_serve_clock=(in_serve_package(name)
-                                   and name != SERVE_CLOCK_MODULE)))
+                                   and name != SERVE_CLOCK_MODULE),
+                check_legacy=(name not in LEGACY_MODULES)))
         print(f"checked {len(modules)} modules "
               f"({len(deterministic)} sharding-reachable)")
     for problem in sorted(problems):
@@ -366,7 +390,7 @@ def main(argv: list[str]) -> int:
     if problems:
         print(f"{len(problems)} contract violation(s)", file=sys.stderr)
         return 1
-    print("backend, fan-out and determinism contracts hold")
+    print("backend, fan-out, legacy-path and determinism contracts hold")
     return 0
 
 
