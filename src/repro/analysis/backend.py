@@ -38,6 +38,16 @@ Both factorization classes share the exact error contract the solver
 stack relies on: a singular (or non-finite) matrix raises
 :class:`~repro.errors.SingularMatrixError` at construction time, never
 returns garbage from :meth:`solve`.
+
+The dense routes are not bitwise interchangeable: :func:`solve_dense`
+(NumPy ``gesv``, what scalar Newton solves with) and :class:`DenseLU`
+(SciPy ``getrf``/``getrs``) can come from different LAPACK builds (the
+NumPy and SciPy wheels each bundle their own) and round differently in
+the last bit.  A caller that must reproduce
+Newton's bits, such as the linear transient stepper of
+:mod:`repro.analysis.transient`, solves the dense kind with
+:func:`solve_dense`; on the sparse kind both Newton and
+:class:`SparseLU` run SuperLU on the same CSC matrix.
 """
 
 from __future__ import annotations

@@ -162,10 +162,11 @@ class _Family:
         self.g_sign = np.repeat(g_signs, count)
         self.i_rows = np.concatenate(currents)
         self.i_sign = np.repeat(i_signs, count)
+        self.rhs_sign = rhs_sign * self.i_sign
         #: Flat positions in the augmented ``(size+1)**2`` matrix.
         self.flat = self.rows * aug + self.cols
         self.dense = np.concatenate((self.flat, aug * aug + self.i_rows))
-        self.sign = np.concatenate((self.g_sign, rhs_sign * self.i_sign))
+        self.sign = np.concatenate((self.g_sign, self.rhs_sign))
 
 
 #: The family of a device type the circuit does not have (no stamps).
@@ -285,6 +286,12 @@ class StampPlan:
             self.diag, aug * aug, self.mos.dense, self.diode.dense,
             self.cap.dense, self.ind.dense)
         self._sparse: _SparsePattern | None = None
+
+    @property
+    def linear(self) -> bool:
+        """True when the plan has no MOS and no diode family, so the
+        breakdown clamp is the only stamp that depends on the solution."""
+        return self.mos is _NO_DEVICES and self.diode is _NO_DEVICES
 
     def sparse(self, g_static: np.ndarray) -> _SparsePattern:
         """The sparse pattern, built from *g_static* on first use."""
@@ -811,6 +818,22 @@ class CompiledCircuit:
             values = np.concatenate((ind_geq, ind_veq))
             values *= plan.ind.sign
             np.add.at(buf, scatter.ind, values)
+
+    def step_rhs(self, b_sources: np.ndarray, cap_ieq: np.ndarray,
+                 ind_veq: np.ndarray) -> np.ndarray:
+        """Right-hand side of a linear transient step: *b_sources* plus
+        the capacitor and inductor companion terms, accumulated in
+        :meth:`linearize`'s order, so bitwise its ``b`` for a circuit with
+        no MOS, no diode and no node beyond the breakdown voltage.
+        Returns a fresh trimmed vector."""
+        plan = self.plan
+        b = b_sources.copy()
+        if self.n_caps:
+            np.add.at(b, plan.cap.i_rows,
+                      np.concatenate((cap_ieq, cap_ieq)) * plan.cap.rhs_sign)
+        if self.n_inductors:
+            np.add.at(b, plan.ind.i_rows, ind_veq * plan.ind.rhs_sign)
+        return b[:self.size]
 
     def factorize(
         self,

@@ -84,7 +84,8 @@ class TransientResult:
         t: sample times [s], shape (n,).
         node_voltages: node name -> waveform array, shape (n,).
         branch_currents: element name -> branch current waveform.
-        newton_iterations: total Newton iterations spent.
+        newton_iterations: total Newton iterations spent; a step of a
+            linear circuit's stepper counts one (its one solve).
     """
 
     t: np.ndarray

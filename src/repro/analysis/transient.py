@@ -8,21 +8,49 @@ circuits this keeps the run time proportional to the number of measurement
 samples, which is what makes a 55-fault x 5-configuration ATPG run
 tractable in pure Python.
 
-On a Newton failure at a step, the engine retries the interval with
-recursive halving (``options.transient_substeps`` levels) before raising.
+A circuit whose stamp plan has no MOS and no diode family solves the
+same matrix at every step: the static matrix (with any pushed fault
+overlay), node gmin and the capacitor and inductor companion
+conductances, G + 2C/dt under the trapezoidal rule.  Its transient
+assembles that step matrix once and then solves one right-hand side per
+step, the sources at t_k plus the companion currents
+(:meth:`~repro.analysis.mna.CompiledCircuit.step_rhs`), with the routine
+each Newton iteration uses on it: ``gesv`` on the dense kind
+(:func:`~repro.analysis.backend.solve_dense`), SuperLU on the same CSC
+matrix on the sparse kind, where the matrix is factored once through
+:class:`~repro.analysis.mna.Factorization`.  Each Newton iteration of
+such a step solves that same system to the same solution, so the step
+replays Newton's update arithmetic on it and returns Newton's iterate to
+the bit.
+
+The breakdown clamp is the only solution-dependent stamp of a linear
+circuit.  A step whose solution is non-finite or has a node beyond
+``±options.breakdown_voltage`` is redone by Newton, and Newton runs the
+rest of that transient.  Every other circuit runs damped Newton at every
+step; on a Newton failure the engine retries the interval with
+recursive halving (``options.transient_substeps`` levels) before
+raising.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
-from repro.analysis.mna import CompiledCircuit
-from repro.analysis.newton import newton_solve, robust_solve
+from repro.analysis.backend import BACKEND_SPARSE, solve_dense
+from repro.analysis.mna import CompiledCircuit, Factorization
+from repro.analysis.newton import (
+    absolute_tolerances,
+    newton_solve,
+    robust_solve,
+    step_converged,
+)
 from repro.analysis.options import DEFAULT_OPTIONS, SimOptions
 from repro.analysis.results import OperatingPoint, TransientResult
 from repro.analysis.dc import operating_point
 from repro.circuit.netlist import Circuit
-from repro.errors import ConvergenceError
+from repro.errors import ConvergenceError, SingularMatrixError
 
 __all__ = ["transient"]
 
@@ -41,19 +69,27 @@ class _ReactiveState:
             self.ind_v = np.zeros(0)
 
 
+def _conductances(compiled: CompiledCircuit, dt: float, method: str):
+    """Companion conductances (cap_geq, ind_geq) of a step of size dt."""
+    if method == "trap":
+        return 2.0 * compiled.cap_value / dt, 2.0 * compiled.ind_value / dt
+    return compiled.cap_value / dt, compiled.ind_value / dt  # backward Euler
+
+
+def _currents(state: _ReactiveState, cap_geq: np.ndarray,
+              ind_geq: np.ndarray, method: str):
+    """Companion sources (cap_ieq, ind_veq) of the step from *state*."""
+    if method == "trap":
+        return (cap_geq * state.cap_v + state.cap_i,
+                -state.ind_v - ind_geq * state.ind_i)
+    return cap_geq * state.cap_v, -ind_geq * state.ind_i  # backward Euler
+
+
 def _companion(compiled: CompiledCircuit, state: _ReactiveState, dt: float,
                method: str):
     """Build (cap_geq, cap_ieq, ind_geq, ind_veq) for one step of size dt."""
-    if method == "trap":
-        cap_geq = 2.0 * compiled.cap_value / dt
-        cap_ieq = cap_geq * state.cap_v + state.cap_i
-        ind_geq = 2.0 * compiled.ind_value / dt
-        ind_veq = -state.ind_v - ind_geq * state.ind_i
-    else:  # backward Euler
-        cap_geq = compiled.cap_value / dt
-        cap_ieq = cap_geq * state.cap_v
-        ind_geq = compiled.ind_value / dt
-        ind_veq = -ind_geq * state.ind_i
+    cap_geq, ind_geq = _conductances(compiled, dt, method)
+    cap_ieq, ind_veq = _currents(state, cap_geq, ind_geq, method)
     return cap_geq, cap_ieq, ind_geq, ind_veq
 
 
@@ -87,6 +123,91 @@ def _advance(compiled: CompiledCircuit, state: _ReactiveState,
     _update_state(compiled, state, outcome.x, cap_geq, cap_ieq,
                   ind_geq, ind_veq, method)
     return outcome.x, iterations
+
+
+class _LinearStepper:
+    """The step matrix of one linear transient, assembled once.
+
+    Raises :class:`~repro.errors.SingularMatrixError` when the step
+    matrix of the sparse kind does not factor.
+    """
+
+    def __init__(self, compiled: CompiledCircuit, x: np.ndarray, dt: float,
+                 method: str, options: SimOptions) -> None:
+        self.compiled = compiled
+        self.method = method
+        self.options = options
+        self.cap_geq, self.ind_geq = _conductances(compiled, dt, method)
+        g, _ = compiled.linearize(
+            x, np.zeros(compiled.size + 1), options.gmin, self.cap_geq,
+            np.zeros(compiled.n_caps), self.ind_geq,
+            np.zeros(compiled.n_inductors), options.breakdown_voltage,
+            options.breakdown_conductance)
+        if compiled.plan.kind == BACKEND_SPARSE:
+            self._solve = Factorization(g, BACKEND_SPARSE).solve
+        else:  # linearize returns a view of a reusable buffer
+            self._solve = partial(solve_dense, g.copy())
+        self._abs_tol = absolute_tolerances(compiled, options)
+
+    def advance(self, state: _ReactiveState, x: np.ndarray,
+                t: float) -> np.ndarray | None:
+        """Newton's solution of the step to time *t* from *x*, or None
+        (state untouched) when the step leaves the linear region."""
+        compiled = self.compiled
+        cap_ieq, ind_veq = _currents(state, self.cap_geq, self.ind_geq,
+                                     self.method)
+        rhs = compiled.step_rhs(compiled.source_vector(t), cap_ieq, ind_veq)
+        try:
+            s = self._solve(rhs)
+        except SingularMatrixError:
+            return None
+        if not np.isfinite(s).all():
+            return None
+        x_new = self._newton_iterate(x, s)
+        if x_new is not None:
+            _update_state(compiled, state, x_new, self.cap_geq, cap_ieq,
+                          self.ind_geq, ind_veq, self.method)
+        return x_new
+
+    def _newton_iterate(self, x: np.ndarray,
+                        s: np.ndarray) -> np.ndarray | None:
+        """The iterate :func:`newton_solve` returns from *x* when every
+        iteration solves to *s*, or None once an iterate is clamped.
+
+        Newton's updates are replayed, not skipped: x1 = x + (s - x) is
+        not always s (a component that changes sign within tolerance
+        converges at once, keeping the rounding of s - x).
+        """
+        options = self.options
+        for _ in range(options.max_iter):
+            dx = s - x
+            x = x + dx
+            if _clamped(self.compiled, x, options):
+                return None
+            if step_converged(dx, x, self._abs_tol, options.reltol):
+                return x
+        return None
+
+
+def _clamped(compiled: CompiledCircuit, x: np.ndarray,
+             options: SimOptions) -> bool:
+    """Whether :meth:`CompiledCircuit.linearize` stamps the breakdown
+    clamp at *x*: some node voltage beyond ``±breakdown_voltage`` (NaN
+    ignored, as there)."""
+    return options.breakdown_conductance > 0.0 and bool(
+        (np.abs(x[:compiled.n_nodes]) > options.breakdown_voltage).any())
+
+
+def _linear_stepper(compiled: CompiledCircuit, x: np.ndarray, dt: float,
+                    method: str,
+                    options: SimOptions) -> _LinearStepper | None:
+    """The linear stepper of this transient, or None for Newton."""
+    if not compiled.plan.linear or _clamped(compiled, x, options):
+        return None
+    try:
+        return _LinearStepper(compiled, x, dt, method, options)
+    except SingularMatrixError:
+        return None
 
 
 def _update_state(compiled: CompiledCircuit, state: _ReactiveState,
@@ -147,14 +268,23 @@ def transient(
     volt_traces[:, 0] = x[:compiled.n_nodes]
     branch_traces[:, 0] = x[compiled.n_nodes:]
 
+    stepper = _linear_stepper(compiled, x, dt, method, options)
     total_iterations = 0
     for k in range(1, n_out):
-        try:
-            x, iters = _advance(compiled, state, x, times[k - 1], dt,
-                                method, options, depth=0)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                f"transient step to t={times[k]:.4g}s failed: {exc}") from exc
+        if stepper is not None:
+            x_step = stepper.advance(state, x, times[k - 1] + dt)
+            if x_step is None:
+                stepper = None
+            else:
+                x, iters = x_step, 1
+        if stepper is None:
+            try:
+                x, iters = _advance(compiled, state, x, times[k - 1], dt,
+                                    method, options, depth=0)
+            except ConvergenceError as exc:
+                raise ConvergenceError(
+                    f"transient step to t={times[k]:.4g}s failed: "
+                    f"{exc}") from exc
         total_iterations += iters
         volt_traces[:, k] = x[:compiled.n_nodes]
         branch_traces[:, k] = x[compiled.n_nodes:]

@@ -22,9 +22,10 @@ through the same pre-flight-gated pipeline:
 Determinism contract: every cell builds all of its own state (macro,
 dictionary, executors), so a record depends on the cell alone.  Cells
 fan out one per task over :func:`repro.testgen.sharding.fan_out`, each
-cell screens its shards in-process (``max_workers=1``, so the two
-levels of parallelism never nest), and records are written in
-spec-expansion order.  The manifest is therefore a pure function of the
+cell screens every configuration's whole dictionary as one batch
+in-process (one shard, ``max_workers=1``, so the two levels of
+parallelism never nest), and records are written in spec-expansion
+order.  The manifest is therefore a pure function of the
 spec: ``n_jobs`` changes wall-clock time only, and the test suite pins
 the n_jobs=1 vs n_jobs=4 manifests bitwise.  Records carry no
 timestamps or host details for the same reason.
@@ -61,10 +62,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("scenarios.campaign")
-
-#: Per-cell fault-dictionary shard count (kept small: campaign cells
-#: already parallelize across the pool, each cell screens serially).
-CELL_FAULT_SHARDS = 4
 
 #: Manifest statuses a cell can land in.
 STATUSES = ("ok", "rejected", "failed")
@@ -178,7 +175,7 @@ def _screen_cell(cell: CampaignCell, macro, faults, circuit,
         vector = tuple(p.seed for p in configuration.parameters)
         screen = screen_dictionary_sharded(
             circuit, configuration, list(faults), vector, macro.options,
-            n_shards=min(CELL_FAULT_SHARDS, len(faults)), max_workers=1)
+            n_shards=1, max_workers=1)
         sensitivities = tuple(
             (fault_id, report.value)
             for fault_id, report in zip(screen.fault_ids, screen.reports))

@@ -216,6 +216,9 @@ class _ScalarReference:
         self._variants: dict[int, Circuit] = {}
         self._anchors: dict[str | None, np.ndarray | None] = {}
         self._raws: dict[tuple[int, str | None], np.ndarray | None] = {}
+        #: The fault-free anchor's compile, solution and reading.
+        self._nominal: tuple[CompiledCircuit, np.ndarray,
+                             np.ndarray] | None = None
 
     def variant(self, sample: int) -> Circuit:
         """Materialized process variant of one sample (cached)."""
@@ -226,11 +229,11 @@ class _ScalarReference:
         return circuit
 
     def _solve(self, circuit: Circuit, warm: np.ndarray | None,
-               ) -> tuple[np.ndarray, np.ndarray]:
+               ) -> tuple[np.ndarray, np.ndarray, CompiledCircuit]:
         """Compile *circuit* and solve it at the screening point.
 
         Warm-starts Newton from *warm* when given (falling back to a
-        cold robust solve), returns ``(raw, x)``.  Raises
+        cold robust solve), returns ``(raw, x, compiled)``.  Raises
         :class:`AnalysisError` when no path converges.
         """
         procedure = self.configuration.procedure
@@ -248,7 +251,7 @@ class _ScalarReference:
                                        b, self.options)
             raw = np.asarray(procedure.raw_from_solution(compiled, x),
                              dtype=float)
-        return raw, x
+        return raw, x, compiled
 
     def anchor(self, fault: FaultModel | None) -> np.ndarray | None:
         """Nominal-process-point solution of *fault* (None = fault-free).
@@ -263,8 +266,10 @@ class _ScalarReference:
             if fault is not None:
                 circuit = fault.apply(circuit)
             try:
-                _, x = self._solve(circuit, None)
+                raw, x, compiled = self._solve(circuit, None)
                 self._anchors[key] = x
+                if fault is None:
+                    self._nominal = (compiled, x, raw)
             except AnalysisError as exc:
                 _LOG.warning("scalar MC anchor failed (%s): %s", key, exc)
                 self._anchors[key] = None
@@ -283,7 +288,7 @@ class _ScalarReference:
             if fault is not None:
                 circuit = fault.apply(circuit)
             try:
-                raw, _ = self._solve(circuit, self.anchor(fault))
+                raw, _, _ = self._solve(circuit, self.anchor(fault))
             except AnalysisError as exc:
                 _LOG.warning("scalar MC simulation failed (%s): %s -> "
                              "treating as maximal deviation",
@@ -299,11 +304,18 @@ class _ScalarReference:
                 f"nominal circuit {self.batch.nominal.name!r} failed to "
                 "simulate at the screening point — the testbench itself "
                 "is broken")
-        procedure = self.configuration.procedure
-        compiled = CompiledCircuit(self.batch.nominal)
-        return np.asarray(
-            procedure.raw_from_solution(compiled, self.anchor(None)),
-            dtype=float)
+        return self._nominal[2]
+
+    def nominal(self) -> tuple[CompiledCircuit, np.ndarray]:
+        """The compile and solution behind :meth:`golden` (call it
+        first).
+
+        The vectorized path screens the nominal base on this compile
+        from this solution: its own cold operating point would be the
+        anchor's robust solve again, bit for bit.
+        """
+        compiled, x, _ = self._nominal
+        return compiled, x
 
 
 # ----------------------------------------------------------------------
@@ -366,14 +378,16 @@ def _mos_override_arrays(compiled: CompiledCircuit,
     return beta, vto
 
 
-def _screen_base(base_circuit: Circuit, configuration: "TestConfiguration",
+def _screen_base(compiled: CompiledCircuit,
+                 configuration: "TestConfiguration",
                  params: dict, options: SimOptions,
                  batch: ProcessSampleBatch,
                  fault_stamps: Sequence[tuple[tuple[str, str, float], ...]],
                  stats: MonteCarloStats, max_columns: int,
                  node_hint: dict[str, float] | None = None,
+                 x_op: np.ndarray | None = None,
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Screen every (sample x fault) column of one overlay base.
+    """Screen every (sample x fault) column of one compiled overlay base.
 
     Factorizes the base's nominal system once, then serves
     ``n_samples * len(fault_stamps)`` columns from it in bounded chunks
@@ -388,11 +402,11 @@ def _screen_base(base_circuit: Circuit, configuration: "TestConfiguration",
     operating point is one warm Newton hop from the nominal one; an
     empty dict is filled with this base's solution for reuse.  The hint
     only seeds the operating-point solve — a failed warm attempt falls
-    back to the usual cold robust solve.
+    back to the usual cold robust solve.  A given *x_op* (the base's
+    operating point at the screening stimulus) skips that solve.
     """
     procedure = configuration.procedure
-    compiled = CompiledCircuit(base_circuit)
-    res_stamps = _resistor_stamp_sets(base_circuit, batch)
+    res_stamps = _resistor_stamp_sets(compiled.circuit, batch)
     mos_beta, mos_vto = _mos_override_arrays(compiled, batch)
 
     n_faults, n_samples = len(fault_stamps), batch.n_samples
@@ -403,8 +417,7 @@ def _screen_base(base_circuit: Circuit, configuration: "TestConfiguration",
     columns = [(f, s) for f in range(n_faults) for s in range(n_samples)]
     with procedure.screening_patch(compiled, params):
         b = compiled.source_vector(None)
-        x_op = None
-        if node_hint:
+        if x_op is None and node_hint:
             x0 = np.zeros(compiled.size)
             for name, volts in node_hint.items():
                 idx = compiled.node_index.get(name)
@@ -523,11 +536,12 @@ def empirical_process_boxes(
     reference = _ScalarReference(batch, configuration, params, options,
                                  stats)
     golden = reference.golden()
+    compiled, x_op = reference.nominal()
     n_ret = configuration.n_return_values
     free_raws = np.zeros((n_samples, n_ret))
     if vectorized and getattr(procedure, "supports_screening", False):
-        raws, ok = _screen_base(circuit, configuration, params, options,
-                                batch, [()], stats, max_columns)
+        raws, ok = _screen_base(compiled, configuration, params, options,
+                                batch, [()], stats, max_columns, x_op=x_op)
         for s in range(n_samples):
             if ok[0, s]:
                 free_raws[s] = raws[0, s]
@@ -612,6 +626,7 @@ def screen_dictionary_montecarlo(
     # computation in both modes (cold compile of the nominal circuit),
     # so shared-box comparisons across modes are bitwise-consistent.
     golden = reference.golden()
+    nominal_compiled, nominal_x = reference.nominal()
 
     n_ret = configuration.n_return_values
     use_vectorized = bool(vectorized
@@ -634,19 +649,22 @@ def screen_dictionary_montecarlo(
         base_hint: dict[str, float] = {}
         for base_key, members in groups.items():
             if base_key == "nominal":
-                base_circuit = circuit
+                # The golden anchor's compile and cold operating point.
+                base_compiled, x_op = nominal_compiled, nominal_x
                 stamp_lists: list[tuple] = [()]  # fault-free slot
             else:
-                base_circuit = members[0].overlay_base(circuit)
+                base_compiled = CompiledCircuit(
+                    members[0].overlay_base(circuit))
+                x_op = None
                 stamp_lists = []
-            base_compiled = CompiledCircuit(base_circuit)
             for fault in members:
                 stamp_lists.append(tuple(
                     (st.node_a, st.node_b, st.conductance)
                     for st in fault.stamp_delta(base_compiled)))
-            raws, ok = _screen_base(base_circuit, configuration, params,
+            raws, ok = _screen_base(base_compiled, configuration, params,
                                     options, batch, stamp_lists, stats,
-                                    max_columns, node_hint=base_hint)
+                                    max_columns, node_hint=base_hint,
+                                    x_op=x_op)
             offset = 0
             if base_key == "nominal":
                 offset = 1

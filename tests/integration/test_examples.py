@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.macros import available_macros, registry
+
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
@@ -29,9 +31,18 @@ def test_quickstart(capsys, monkeypatch):
 
 
 def test_custom_macro(capsys, monkeypatch):
-    out = run_example(capsys, monkeypatch, "custom_macro.py")
+    """The example registers ``cs-amplifier``; it does so into a copy of
+    the registry, so later tests still see only the built-in macros."""
+    built_in = available_macros()
+    with monkeypatch.context() as scoped:
+        scoped.setattr(registry, "_REGISTRY", dict(registry._REGISTRY))
+        out = run_example(capsys, scoped, "custom_macro.py")
+        assert "cs-amplifier" in available_macros()
     assert "cs-amplifier" in out
     assert "compact set" in out
+    assert available_macros() == built_in == (
+        "active-filter", "folded-cascode-ota", "iv-converter", "ota",
+        "rc-ladder", "two-stage-opamp")
 
 
 def test_fault_impact_study(capsys, monkeypatch):
