@@ -1,4 +1,5 @@
-"""Per-step cost of linear transients: linear stepper vs Newton.
+"""Per-step cost of linear transients: linear stepper vs Newton, and
+fault families in lockstep vs one column at a time.
 
 A circuit with no MOSFET and no diode solves the same step matrix at
 every step of a fixed-dt transient, so :func:`repro.analysis.transient`
@@ -22,8 +23,16 @@ Per-step cost is the time spent inside ``transient`` divided by the
 steps it integrated (for the ladders, the fastest of the repeats).  The
 two paths must give bitwise-equal waveforms (compared as integer views,
 so even the sign of a zero counts), the same cell record and the same
-generated test; those checks run under ``--smoke`` too.  The record is
-appended to ``results/BENCH_engine.json``.
+generated test; those checks run under ``--smoke`` too.
+
+The family section times the RC-ladder IFA fault family (every fault's
+bridge overlay at the step-mean stimulus) at 3, 7 and 50 sections and
+on the 122-unknown sparse ladder: one column-batched ``transient`` call
+advancing every fault in lockstep, against one transient per fault with
+its overlay pushed (the one-column stepper).  Its cost is per fault and
+step; every fault's waveforms must be bitwise equal on both paths, also
+under ``--smoke``.  The record is appended to
+``results/BENCH_engine.json``.
 """
 
 from __future__ import annotations
@@ -55,31 +64,36 @@ REPEATS = 15
 SMOKE_REPEATS = 3
 #: The campaign cell row's ladder.
 CELL_SECTIONS = 7
+#: Family rows: ladder sections (120 sections: the sparse kind).
+FAMILY_SECTIONS = (3, 7, 50, 120)
 
 
 @contextmanager
 def newton_path():
     """Run every transient on per-step Newton, the path before the
     stepper."""
-    saved = _transient._linear_stepper
-    _transient._linear_stepper = lambda *args: None
+    saved = _transient._column_stepper
+    _transient._column_stepper = lambda *args: None
     try:
         yield
     finally:
-        _transient._linear_stepper = saved
+        _transient._column_stepper = saved
 
 
 @contextmanager
 def transient_clock(totals: dict):
     """Accumulate seconds and integrated steps of every transient the
-    measurement procedures run."""
+    measurement procedures run (a family call integrates one run of
+    steps per column)."""
     inner = _procedures.transient
 
     def timed(*args, **kwargs):
         started = time.perf_counter()
         result = inner(*args, **kwargs)
         totals["seconds"] += time.perf_counter() - started
-        totals["steps"] += len(result.t) - 1
+        runs = result if isinstance(result, list) else [result]
+        totals["steps"] += sum(len(run.t) - 1 for run in runs
+                               if hasattr(run, "t"))
         return result
 
     _procedures.transient = timed
@@ -129,6 +143,56 @@ def _ladder_row(n_sections: int, repeats: int) -> dict:
            for path, values in per_step.items()},
         "bitwise_equal": bool(np.array_equal(bits["newton"],
                                              bits["stepper"])),
+    }
+
+
+def _family_row(n_sections: int, repeats: int) -> dict:
+    """Per-fault step cost of the IFA family: lockstep vs one column."""
+    macro = get_macro("rc-ladder", n_sections=n_sections)
+    procedure = {c.name: c for c in macro.test_configurations()}[
+        "step-mean"].procedure
+    wave = StepWave(base=0.5, elev=2.0, t_step=procedure.t_step,
+                    slew_rate=procedure.slew_rate)
+    dt = 1.0 / procedure.sample_rate
+    compiled = CompiledCircuit(macro.circuit)
+    overlays = [[(s.node_a, s.node_b, s.conductance)
+                 for s in fault.stamp_delta(compiled)]
+                for fault in macro.fault_dictionary()]
+    seconds = {"column": [], "lockstep": []}
+    with compiled.patched_source(procedure.source, wave):
+        ops = []
+        for stamps in overlays:
+            with compiled.overlay(stamps):
+                ops.append(operating_point(compiled, macro.options))
+        for _ in range(repeats):
+            started = time.perf_counter()
+            alone = []
+            for stamps, op in zip(overlays, ops):
+                with compiled.overlay(stamps):
+                    alone.append(_transient.transient(
+                        compiled, t_stop=procedure.test_time, dt=dt,
+                        options=macro.options, x0=op))
+            seconds["column"].append(time.perf_counter() - started)
+            started = time.perf_counter()
+            family = _transient.transient(
+                compiled, t_stop=procedure.test_time, dt=dt,
+                options=macro.options, x0=ops, overlays=overlays)
+            seconds["lockstep"].append(time.perf_counter() - started)
+    fault_steps = len(overlays) * (len(family[0].t) - 1)
+    return {
+        "row": f"family ladder-{n_sections}",
+        "unknowns": compiled.size,
+        "backend": compiled.plan.kind,
+        "faults": len(overlays),
+        "steps": len(family[0].t) - 1,
+        **{f"{path}_us_per_fault_step": 1e6 * min(values) / fault_steps
+           for path, values in seconds.items()},
+        **{f"{path}_median_us_per_fault_step":
+           1e6 * statistics.median(values) / fault_steps
+           for path, values in seconds.items()},
+        "bitwise_equal": all(
+            np.array_equal(_waveform_bits(a), _waveform_bits(b))
+            for a, b in zip(alone, family)),
     }
 
 
@@ -191,8 +255,13 @@ def _run_bench(*, smoke: bool) -> dict:
     for row in rows:
         row["speedup"] = row["newton_us_per_step"] / row[
             "stepper_us_per_step"]
+    family_rows = [_family_row(n, repeats) for n in FAMILY_SECTIONS]
+    for row in family_rows:
+        row["speedup"] = row["column_us_per_fault_step"] / row[
+            "lockstep_us_per_fault_step"]
     record = {"bench": "transient_stepper", "unix_time": time.time(),
-              "smoke": smoke, "repeats": repeats, "rows": rows}
+              "smoke": smoke, "repeats": repeats, "rows": rows,
+              "family_rows": family_rows}
     emit_record(record)
 
     title = "Linear transient per-step cost: Newton vs linear stepper"
@@ -205,9 +274,20 @@ def _run_bench(*, smoke: bool) -> dict:
           row.get("bitwise_equal", row.get("same_output"))]
          for row in rows],
         title=title + (" (smoke)" if smoke else "")))
+    print()
+    print(render_table(
+        ["row", "unknowns", "faults", "steps", "one column us/fault-step",
+         "lockstep us/fault-step", "speedup", "identical"],
+        [[row["row"], row["unknowns"], row["faults"], row["steps"],
+          f"{row['column_us_per_fault_step']:.1f}",
+          f"{row['lockstep_us_per_fault_step']:.1f}",
+          f"{row['speedup']:.2f}x", row["bitwise_equal"]]
+         for row in family_rows],
+        title="IFA fault family: lockstep vs one column at a time"
+              + (" (smoke)" if smoke else "")))
     print(f"record appended to {BENCH_RECORD_PATH}")
 
-    unequal = [row["row"] for row in rows
+    unequal = [row["row"] for row in rows + family_rows
                if not row.get("bitwise_equal", row.get("same_output"))]
     assert not unequal, f"stepper and Newton paths differ on {unequal}"
     return record

@@ -14,7 +14,10 @@ and serves each fault as a rank-k update of it:
        (G0 + U C U^T)^-1 = G0^-1 - G0^-1 U (C^-1 + U^T G0^-1 U)^-1 U^T G0^-1
 
    at the cost of k extra triangular solves — *no* per-fault dense solve,
-   and all families' ``U`` columns go through one stacked solve.
+   and all families' ``U`` columns go through one stacked solve.  The
+   columns of one rank share a stacked solve of their capacitances and a
+   stacked ``matmul`` per correction, each running the one-matrix kernel
+   per slice: no column's bits depend on its neighbours' ranks.
 
 2. **Chord certification** — the linear solution is only trustworthy
    where the circuit behaves linearly.  A few frozen-Jacobian (chord)
@@ -91,6 +94,10 @@ class ScreenedSolution:
         return self.status != STATUS_FAILED
 
 
+#: Bound on the temporaries of one chunk of a rank group's solve [bytes].
+_CHUNK_BYTES = 1 << 20
+
+
 class _StampStack:
     """Flattened per-fault conductance stamps, ready for vector math.
 
@@ -100,7 +107,7 @@ class _StampStack:
     over arbitrary per-fault ranks.
 
     ``woodbury=False`` skips the SMW apparatus (the stacked ``Z``
-    columns and capacitance inverses) for stacks that only assemble
+    columns and capacitance solves) for stacks that only assemble
     residuals/Jacobians, e.g. the batched Newton confirm stage.
 
     ``allow_empty=True`` accepts columns with no stamps at all (their
@@ -142,8 +149,8 @@ class _StampStack:
         self.scol = np.array(scol, dtype=np.intp)
         self.offsets = np.array(offsets, dtype=np.intp)
         self.woodbury = woodbury
+        self.singular = np.zeros(self.n_faults, dtype=bool)
         if not woodbury:
-            self.singular = np.zeros(self.n_faults, dtype=bool)
             return
 
         # One stacked triangular solve covers every stamp of every fault:
@@ -155,74 +162,69 @@ class _StampStack:
         in_n = self.sn < size
         u_all[self.sp[in_p], np.flatnonzero(in_p)] += 1.0
         u_all[self.sn[in_n], np.flatnonzero(in_n)] -= 1.0
-        self.u_all = u_all
         self.z_all = factorization.solve(u_all)
 
-        # Per-fault Woodbury capacitance factor-and-solve: instead of an
-        # explicit (C^-1 + U^T Z)^-1 — the last dense inverses that used
-        # to live on the hot path — precombine M = Z (C^-1 + U^T Z)^-1
-        # via transposed solves, so every later inverse application is a
-        # single small matmul.  A singular capacitance marks the fault
-        # unscreenable up front, exactly as before.
         ranks = np.diff(self.offsets)
         self.rank1 = bool(self.n_faults and np.all(ranks == 1))
-        self.singular = np.zeros(self.n_faults, dtype=bool)
-        self.cap_m3: np.ndarray | None = None
         if self.rank1:
-            duz = (self._gather(self.z_all, self.sp, np.arange(len(sp)))
-                   - self._gather(self.z_all, self.sn, np.arange(len(sp))))
+            stamps = np.arange(len(sp))
+            duz = (self._gather(self.z_all, self.sp, stamps)
+                   - self._gather(self.z_all, self.sn, stamps))
             denom = 1.0 / self.sg + duz
             self.singular = ~np.isfinite(denom) | (np.abs(denom) < 1e-300)
             with np.errstate(divide="ignore"):
                 self.cap_inv_1 = np.where(self.singular, 0.0, 1.0 / denom)
-            self.cap_m: list[np.ndarray | None] = []
             return
-        self.cap_m = []
-        uniform = bool(self.n_faults and ranks[0] > 1
-                       and np.all(ranks == ranks[0]))
-        if uniform:
-            # Uniform rank k: one batched solve serves every column
-            # (the Monte Carlo layout — each column carries the same
-            # resistor-delta stamps plus at most one fault stamp).
-            k = int(ranks[0])
-            u3 = self.u_all.reshape(size, self.n_faults, k)
-            z3 = self.z_all.reshape(size, self.n_faults, k)
-            cap = np.einsum("scx,scy->cxy", u3, z3)
-            diag = np.arange(k)
+        # Per rank (stamp-free columns need no correction): the columns,
+        # their stamps' p and n nodes and their M = Z cap^-1 stack.
+        self.groups: list[tuple] = []
+        for rank in np.unique(ranks[ranks > 0]):
+            self._add_group(np.flatnonzero(ranks == rank), int(rank))
+
+    def _add_group(self, cols: np.ndarray, rank: int) -> None:
+        """Solve ``cap^T M^T = Z^T`` for the rank-*rank* columns, in
+        chunks written in place.  ``U^T Z`` is two gathers of ``Z`` (a
+        column of U is e_p - e_n: one rounding, as in the product).  A
+        singular capacitance marks its column unscreenable and leaves
+        it out of the group."""
+        z_all = self.z_all
+        size = z_all.shape[0]
+        stamps = self.offsets[cols][:, None] + np.arange(rank)
+        m_t = np.empty((cols.size, rank, size))
+        ok = np.ones(cols.size, dtype=bool)
+        step = max(1, _CHUNK_BYTES // (8 * rank * (rank + 2 * size)))
+        diag = np.arange(rank)
+        for lo in range(0, cols.size, step):
+            chunk = stamps[lo:lo + step]
+            picks = chunk[:, None, :]
+            cap = self._gather(z_all, self.sp[chunk][:, :, None], picks)
+            cap -= self._gather(z_all, self.sn[chunk][:, :, None], picks)
             with np.errstate(divide="ignore"):
-                cap[:, diag, diag] += 1.0 / self.sg.reshape(self.n_faults, k)
-            self.cap_m3 = None  # per-column loop unless the solve lands
-            if np.all(np.isfinite(cap)):
-                try:
-                    # M3[:, c, :] = Z3[:, c, :] @ cap[c]^-1, one batched
-                    # LAPACK solve on cap^T instead of explicit inverses.
-                    m3t = solve_dense(np.swapaxes(cap, 1, 2),
-                                      z3.transpose(1, 2, 0))
-                except SingularMatrixError:
-                    pass
-                else:
-                    self.cap_m3 = m3t.transpose(2, 0, 1)
-                    self.u3 = u3
-                    return
-        for col in range(self.n_faults):
-            lo, hi = self.offsets[col], self.offsets[col + 1]
-            u = self.u_all[:, lo:hi]
-            z = self.z_all[:, lo:hi]
-            cap = np.diag(1.0 / self.sg[lo:hi]) + u.T @ z
+                cap[:, diag, diag] += 1.0 / self.sg[chunk]
+            cap_t = np.swapaxes(cap, 1, 2)
+            z_t = z_all[:, chunk].transpose(1, 2, 0)
             try:
-                # M = Z cap^-1 by factor-and-solve on cap^T.
-                self.cap_m.append(solve_dense(cap.T, z.T).T)
+                m_t[lo:lo + step] = solve_dense(cap_t, z_t)
             except SingularMatrixError:
-                self.cap_m.append(None)
-                self.singular[col] = True
+                for j in range(chunk.shape[0]):
+                    try:
+                        m_t[lo + j] = solve_dense(cap_t[j], z_t[j])
+                    except SingularMatrixError:
+                        ok[lo + j] = False
+        if not ok.all():
+            self.singular[cols[~ok]] = True
+            cols, stamps, m_t = cols[ok], stamps[ok], m_t[ok]
+        self.groups.append((cols, self.sp[stamps], self.sn[stamps],
+                            np.swapaxes(m_t, 1, 2)))
 
     @staticmethod
     def _gather(y: np.ndarray, rows: np.ndarray,
                 cols: np.ndarray) -> np.ndarray:
         """``y[rows, cols]`` with the augmented ground row reading 0."""
-        ya = np.vstack([y, np.zeros((1, y.shape[1]))])
-        clipped = np.minimum(rows, y.shape[0])
-        return ya[clipped, cols]
+        ground = rows >= y.shape[0]
+        out = y[np.minimum(rows, y.shape[0] - 1), cols]
+        out[np.broadcast_to(ground, out.shape)] = 0.0
+        return out
 
     def add_residual(self, r_aug: np.ndarray, xa: np.ndarray) -> None:
         """Accumulate the stamp currents into augmented residuals."""
@@ -245,6 +247,8 @@ class _StampStack:
         each into the frozen faulty-Jacobian inverse application without
         any dense solve.  Columns of singular-capacitance faults pass
         through uncorrected (they are already marked unscreenable).
+        ``M`` keeps the solve output's layout: a contiguous copy would
+        switch the ``gemv`` kernel of each slice and its last bits.
         """
         if self.rank1:
             cols = np.arange(self.n_faults)
@@ -252,16 +256,11 @@ class _StampStack:
             duy = (self._gather(y, self.sp[stamp_idx], cols)
                    - self._gather(y, self.sn[stamp_idx], cols))
             return y - self.z_all[:, stamp_idx] * (duy * self.cap_inv_1)
-        if self.cap_m3 is not None:
-            w = np.einsum("sck,sc->ck", self.u3, y)
-            return y - np.einsum("sck,ck->sc", self.cap_m3, w)
         out = y.copy()
-        for col in range(self.n_faults):
-            if self.cap_m[col] is None:
-                continue
-            lo, hi = self.offsets[col], self.offsets[col + 1]
-            w = self.u_all[:, lo:hi].T @ y[:, col]
-            out[:, col] -= self.cap_m[col] @ w
+        for cols, p, n, m in self.groups:
+            w = (self._gather(y, p, cols[:, None])
+                 - self._gather(y, n, cols[:, None]))
+            out[:, cols] -= np.matmul(m, w[:, :, None])[:, :, 0].T
         return out
 
 

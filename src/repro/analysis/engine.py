@@ -19,6 +19,11 @@ three costs:
   (base, fault) slot, so adjacent optimizer steps start Newton next to
   the answer instead of at zero.
 
+Whole fault families go through :meth:`SimulationEngine.screen_faults`:
+DC procedures as batched SMW screens, step transients of linear circuits
+as lockstep families (:meth:`SimulationEngine.simulate_faults`), each
+fault's result equal to what the per-fault path gives it.
+
 The overlay path is the only way a fault is simulated.  The
 copy+recompile path survives as :meth:`SimulationEngine.simulate_legacy`,
 the reference of the ``validate_overlay`` debug mode: it cross-checks
@@ -33,6 +38,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -303,6 +310,63 @@ class SimulationEngine:
             self._validate(raw, procedure, params, fault)
         return raw
 
+    def simulate_faults(self, procedure, params: Mapping[str, float],
+                        faults: Sequence[FaultModel], *,
+                        canonical: bool = False,
+                        ) -> list[np.ndarray | AnalysisError]:
+        """Raw observations of a fault family, linear ones in lockstep.
+
+        The faults are taken in runs of consecutive faults on the same
+        compiled overlay base.  A run on a linear base is one call of
+        the procedure's column entry point
+        (``procedure.simulate_columns``, see :meth:`columns_supported`);
+        on any other base every step runs Newton anyway, so each fault
+        of the run goes through :meth:`simulate_fault`.  Either way the
+        warm-start slots are the ones :meth:`simulate_fault` uses,
+        looked up, read and written in fault order (fresh slots with
+        ``canonical=True``).  Returns one entry per fault: its raw
+        observation, or the :class:`~repro.errors.AnalysisError` its
+        simulation raised, each as :meth:`simulate_fault` gives or
+        raises it for that fault alone.
+        """
+        results: list = []
+        for base_key, run in groupby(faults,
+                                     key=lambda f: f.overlay_base_key):
+            run = list(run)
+            base = self._base(base_key,
+                              lambda: run[0].overlay_base(self.circuit))
+            if not base.plan.linear:
+                for fault in run:
+                    try:
+                        results.append(self.simulate_fault(
+                            procedure, params, fault,
+                            warm=WarmStart() if canonical else None))
+                    except AnalysisError as exc:
+                        results.append(exc)
+                continue
+            overlays = [[(s.node_a, s.node_b, s.conductance)
+                         for s in fault.stamp_delta(base)]
+                        for fault in run]
+            slots = [WarmStart if canonical else
+                     partial(self.warm_slot, base_key, fault.fault_id)
+                     for fault in run]
+            raws = procedure.simulate_columns(base, params, overlays,
+                                              self.options, slots)
+            self.stats.overlay_simulations += sum(
+                not isinstance(raw, AnalysisError) for raw in raws)
+            results.extend(raws)
+        return results
+
+    def columns_supported(self, procedure) -> bool:
+        """True when *procedure* simulates fault families through
+        :meth:`simulate_faults` (it has a ``simulate_columns`` entry
+        point, like :class:`~repro.testgen.procedures.StepProcedure`).
+        ``validate_overlay`` keeps such families on the per-fault path,
+        which alone cross-checks every simulation."""
+        if self.validate_overlay:
+            return False
+        return hasattr(procedure, "simulate_columns")
+
     def simulate_legacy(self, procedure, params: Mapping[str, float],
                         fault: FaultModel) -> np.ndarray:
         """Copy+recompile reference path of ``validate_overlay``."""
@@ -353,6 +417,10 @@ class SimulationEngine:
         reuse is the serving layer's and the sharded screens' whole
         speedup.
 
+        A procedure outside the screening protocol is served per fault,
+        or, when it has a column entry point, as a family
+        (:meth:`simulate_faults`); both report ``"overlay"``.
+
         A fault the robust fallback cannot simulate *at all* yields
         ``raw=None`` (callers treat it as maximally deviant — the same
         contract as the per-fault path).  Nominal-solve failures and
@@ -362,9 +430,14 @@ class SimulationEngine:
             return WarmStart() if canonical else None
 
         if not self.screen_supported(procedure):
-            return [self._serve_per_fault(procedure, params, fault,
-                                          warm=ephemeral_warm())
-                    for fault in faults]
+            if not self.columns_supported(procedure):
+                return [self._serve_per_fault(procedure, params, fault,
+                                              warm=ephemeral_warm())
+                        for fault in faults]
+            raws = self.simulate_faults(procedure, params, faults,
+                                        canonical=canonical)
+            return [self._observation(fault, raw)
+                    for fault, raw in zip(faults, raws)]
 
         results: list[ScreenedObservation | None] = [None] * len(faults)
         groups: dict[str, list[int]] = {}
@@ -416,8 +489,16 @@ class SimulationEngine:
         except OverlayValidationError:
             raise
         except AnalysisError as exc:
+            raw = exc
+        return self._observation(fault, raw, served)
+
+    @staticmethod
+    def _observation(fault: FaultModel, raw: np.ndarray | AnalysisError,
+                     served: str = "overlay") -> ScreenedObservation:
+        """A per-fault outcome; a simulation error is unsimulatable."""
+        if isinstance(raw, AnalysisError):
             _LOG.warning("screen fallback failed (%s): %s -> unsimulatable",
-                         fault.cache_key, exc)
+                         fault.cache_key, raw)
             return ScreenedObservation(fault, None, "error")
         return ScreenedObservation(fault, raw, served)
 

@@ -378,6 +378,8 @@ class CompiledCircuit:
         aug = self.size + 1
         self._work = np.zeros(aug * aug + aug)
         self._xa = np.zeros(aug)
+        # Flat companion-row indices of step_rhs stacks, per column count.
+        self._rhs_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
         # Overlay stack: each entry is the list of (i, j, prior value)
         # matrix slots touched by one push, restored verbatim on pop.
@@ -821,19 +823,40 @@ class CompiledCircuit:
 
     def step_rhs(self, b_sources: np.ndarray, cap_ieq: np.ndarray,
                  ind_veq: np.ndarray) -> np.ndarray:
-        """Right-hand side of a linear transient step: *b_sources* plus
-        the capacitor and inductor companion terms, accumulated in
-        :meth:`linearize`'s order, so bitwise its ``b`` for a circuit with
-        no MOS, no diode and no node beyond the breakdown voltage.
-        Returns a fresh trimmed vector."""
+        """Right-hand sides of a linear transient step, one column per
+        transient column: *b_sources* plus the column's capacitor and
+        inductor companion terms (``(n, k)`` arrays), accumulated in
+        :meth:`linearize`'s order, so each column is bitwise its ``b``
+        for a circuit with no MOS, no diode and no node beyond the
+        breakdown voltage.  Returns a fresh trimmed ``(size, k)`` stack.
+
+        The stack is scattered through its flat view (one index per row
+        and column), which ``np.add.at`` serves much faster than a row
+        index into a 2-D array."""
         plan = self.plan
-        b = b_sources.copy()
+        k = cap_ieq.shape[1]
+        b = np.empty((b_sources.size, k))
+        b[...] = b_sources[:, None]
+        flat = b.reshape(-1)
+        cap_rows, ind_rows = self._column_rows(k)
         if self.n_caps:
-            np.add.at(b, plan.cap.i_rows,
-                      np.concatenate((cap_ieq, cap_ieq)) * plan.cap.rhs_sign)
+            np.add.at(flat, cap_rows, (np.concatenate(
+                (cap_ieq, cap_ieq)) * plan.cap.rhs_sign[:, None]).reshape(-1))
         if self.n_inductors:
-            np.add.at(b, plan.ind.i_rows, ind_veq * plan.ind.rhs_sign)
+            np.add.at(flat, ind_rows,
+                      (ind_veq * plan.ind.rhs_sign[:, None]).reshape(-1))
         return b[:self.size]
+
+    def _column_rows(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Flat indices of the companion rows in a ``(size+1, k)`` stack
+        (cached per column count)."""
+        rows = self._rhs_rows.get(k)
+        if rows is None:
+            columns = np.arange(k)
+            rows = self._rhs_rows[k] = tuple(
+                (family.i_rows[:, None] * k + columns).reshape(-1)
+                for family in (self.plan.cap, self.plan.ind))
+        return rows
 
     def factorize(
         self,
@@ -862,10 +885,9 @@ class CompiledCircuit:
     # device current recovery (for measurements / companion updates)
     # ------------------------------------------------------------------
     def capacitor_voltages(self, x: np.ndarray) -> np.ndarray:
-        """Voltage across every capacitor in the bank at solution *x*."""
-        if not self.n_caps:
-            return np.zeros(0)
-        xa = np.append(x, 0.0)
+        """Voltage across every capacitor in the bank at solution *x*
+        (one column per column of a ``(size, k)`` stack)."""
+        xa = np.concatenate((x, np.zeros((1, *x.shape[1:]))))
         return xa[self.cap_p] - xa[self.cap_n]
 
     def small_signal_matrices(

@@ -48,8 +48,9 @@ def step_converged(dx: np.ndarray, x: np.ndarray, abs_tol: np.ndarray,
 
     Accepts 1-D vectors (returns a scalar bool) or ``(size, n)`` stacks
     of solution columns (returns a per-column bool array), so the
-    batched screening path applies the exact single-solve criterion."""
-    if dx.ndim > 1:
+    batched screening path applies the exact single-solve criterion.
+    For a stack, *abs_tol* may already be a ``(size, 1)`` column."""
+    if dx.ndim > abs_tol.ndim:
         abs_tol = abs_tol.reshape(-1, *([1] * (dx.ndim - 1)))
     return (np.abs(dx) <= abs_tol + reltol * np.abs(x)).all(axis=0)
 

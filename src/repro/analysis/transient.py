@@ -23,18 +23,31 @@ such a step solves that same system to the same solution, so the step
 replays Newton's update arithmetic on it and returns Newton's iterate to
 the bit.
 
+A fault family runs in lockstep.  Given one overlay (a fault's
+conductance stamps) and one DC operating point per column,
+:func:`transient` assembles each column's own step matrix once; each
+step then builds every column's right-hand side together and solves all
+columns at once: one stacked ``gesv`` call on the dense kind, which runs
+the per-matrix kernel on each slice, and SuperLU per column on the
+sparse kind.  Newton's update is replayed per column.  So a column's
+waveform is bitwise the one the per-step Newton loop gives for that
+fault alone, whatever its neighbours; a single transient is the
+one-column case of the same stepper.
+
 The breakdown clamp is the only solution-dependent stamp of a linear
-circuit.  A step whose solution is non-finite or has a node beyond
-``±options.breakdown_voltage`` is redone by Newton, and Newton runs the
-rest of that transient.  Every other circuit runs damped Newton at every
-step; on a Newton failure the engine retries the interval with
-recursive halving (``options.transient_substeps`` levels) before
-raising.
+circuit.  A column whose step matrix is singular, whose solution is
+non-finite, or any of whose replayed iterates has a node beyond
+``±options.breakdown_voltage``, leaves the stepper at that step: Newton
+redoes the step and runs the rest of that column.  Every other circuit
+runs damped Newton at every step; on a Newton failure the engine
+retries the interval with recursive halving
+(``options.transient_substeps`` levels) before raising.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from collections.abc import Sequence
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -50,23 +63,33 @@ from repro.analysis.options import DEFAULT_OPTIONS, SimOptions
 from repro.analysis.results import OperatingPoint, TransientResult
 from repro.analysis.dc import operating_point
 from repro.circuit.netlist import Circuit
-from repro.errors import ConvergenceError, SingularMatrixError
+from repro.errors import AnalysisError, ConvergenceError, SingularMatrixError
 
 __all__ = ["transient"]
 
 
 class _ReactiveState:
-    """Companion-model state: capacitor voltages/currents, inductor currents."""
+    """Companion-model state: capacitor voltages/currents, inductor
+    currents.  Built from a solution vector, or from a ``(size, k)``
+    stack of them with one state column per transient column."""
 
     def __init__(self, compiled: CompiledCircuit, x: np.ndarray) -> None:
         self.cap_v = compiled.capacitor_voltages(x)
-        self.cap_i = np.zeros(compiled.n_caps)  # zero at DC
-        if compiled.n_inductors:
-            self.ind_i = x[compiled.ind_row]
-            self.ind_v = np.zeros(compiled.n_inductors)  # DC: short
-        else:
-            self.ind_i = np.zeros(0)
-            self.ind_v = np.zeros(0)
+        self.cap_i = np.zeros_like(self.cap_v)  # zero at DC
+        self.ind_i = x[compiled.ind_row]
+        self.ind_v = np.zeros_like(self.ind_i)  # DC: short
+
+    def column(self, j: int) -> "_ReactiveState":
+        """Column *j* of a stacked state, as a one-column state."""
+        state = object.__new__(_ReactiveState)
+        for name in ("cap_v", "cap_i", "ind_i", "ind_v"):
+            setattr(state, name, getattr(self, name)[:, j].copy())
+        return state
+
+    def keep(self, columns: np.ndarray) -> None:
+        """Drop every column of a stacked state but *columns*."""
+        for name in ("cap_v", "cap_i", "ind_i", "ind_v"):
+            setattr(self, name, getattr(self, name)[:, columns])
 
 
 def _conductances(compiled: CompiledCircuit, dt: float, method: str):
@@ -79,10 +102,14 @@ def _conductances(compiled: CompiledCircuit, dt: float, method: str):
 def _currents(state: _ReactiveState, cap_geq: np.ndarray,
               ind_geq: np.ndarray, method: str):
     """Companion sources (cap_ieq, ind_veq) of the step from *state*."""
+    ind_veq = state.ind_i  # empty without inductors
     if method == "trap":
-        return (cap_geq * state.cap_v + state.cap_i,
-                -state.ind_v - ind_geq * state.ind_i)
-    return cap_geq * state.cap_v, -ind_geq * state.ind_i  # backward Euler
+        if ind_veq.size:
+            ind_veq = -state.ind_v - ind_geq * state.ind_i
+        return cap_geq * state.cap_v + state.cap_i, ind_veq
+    if ind_veq.size:  # backward Euler
+        ind_veq = -ind_geq * state.ind_i
+    return cap_geq * state.cap_v, ind_veq
 
 
 def _companion(compiled: CompiledCircuit, state: _ReactiveState, dt: float,
@@ -125,89 +152,183 @@ def _advance(compiled: CompiledCircuit, state: _ReactiveState,
     return outcome.x, iterations
 
 
-class _LinearStepper:
-    """The step matrix of one linear transient, assembled once.
+def _pushed(compiled: CompiledCircuit, stamps):
+    """Context pushing a column's overlay *stamps* (none: no push)."""
+    return compiled.overlay(stamps) if stamps else nullcontext()
 
-    Raises :class:`~repro.errors.SingularMatrixError` when the step
-    matrix of the sparse kind does not factor.
+
+class _ColumnStepper:
+    """The step matrices of a family of linear transient columns,
+    assembled once, and the columns' state as the family advances.
+
+    Column *c* is the compiled circuit with ``overlays[c]`` pushed,
+    starting from solution ``x[:, c]``.  :attr:`cols` lists the columns
+    the stepper holds; a column starts on Newton instead when a node is
+    beyond the breakdown voltage at its operating point or, on the
+    sparse kind, when its step matrix does not factor.
     """
 
-    def __init__(self, compiled: CompiledCircuit, x: np.ndarray, dt: float,
-                 method: str, options: SimOptions) -> None:
+    def __init__(self, compiled: CompiledCircuit, overlays, x: np.ndarray,
+                 dt: float, method: str, options: SimOptions) -> None:
         self.compiled = compiled
         self.method = method
         self.options = options
-        self.cap_geq, self.ind_geq = _conductances(compiled, dt, method)
-        g, _ = compiled.linearize(
-            x, np.zeros(compiled.size + 1), options.gmin, self.cap_geq,
-            np.zeros(compiled.n_caps), self.ind_geq,
-            np.zeros(compiled.n_inductors), options.breakdown_voltage,
-            options.breakdown_conductance)
-        if compiled.plan.kind == BACKEND_SPARSE:
-            self._solve = Factorization(g, BACKEND_SPARSE).solve
-        else:  # linearize returns a view of a reusable buffer
-            self._solve = partial(solve_dense, g.copy())
-        self._abs_tol = absolute_tolerances(compiled, options)
+        cap_geq, ind_geq = _conductances(compiled, dt, method)
+        self._sparse = compiled.plan.kind == BACKEND_SPARSE
+        cols, matrices = [], []
+        for c, stamps in enumerate(overlays):
+            if _clamped(compiled, x[:, c], options):
+                continue
+            with _pushed(compiled, stamps):
+                g, _ = compiled.linearize(
+                    x[:, c], np.zeros(compiled.size + 1), options.gmin,
+                    cap_geq, np.zeros(compiled.n_caps), ind_geq,
+                    np.zeros(compiled.n_inductors),
+                    options.breakdown_voltage, options.breakdown_conductance)
+                if self._sparse:
+                    try:
+                        matrices.append(Factorization(g, BACKEND_SPARSE))
+                    except SingularMatrixError:
+                        continue
+                else:  # linearize returns a view of a reusable buffer
+                    matrices.append(g.copy())
+            cols.append(c)
+        #: family indices of the columns the stepper holds
+        self.cols = np.array(cols, dtype=np.intp)
+        self._matrices = matrices if self._sparse else np.array(matrices)
+        # Companion conductances broadcast over the state's columns.
+        self.cap_geq, self.ind_geq = cap_geq[:, None], ind_geq[:, None]
+        self._abs_tol = absolute_tolerances(compiled, options)[:, None]
+        #: current solution of every held column, ``(size, len(cols))``
+        self.x = x[:, self.cols]
+        self.state = _ReactiveState(compiled, self.x)
 
-    def advance(self, state: _ReactiveState, x: np.ndarray,
-                t: float) -> np.ndarray | None:
-        """Newton's solution of the step to time *t* from *x*, or None
-        (state untouched) when the step leaves the linear region."""
+    def advance(self, t: float) -> list[tuple[int, np.ndarray,
+                                              _ReactiveState]]:
+        """Advance every held column to time *t*.
+
+        Returns the columns that left the stepper at this step, each as
+        (family index, solution, state) before the step, for Newton to
+        redo it; the others hold Newton's solution at *t* in :attr:`x`.
+        """
         compiled = self.compiled
+        state = self.state
         cap_ieq, ind_veq = _currents(state, self.cap_geq, self.ind_geq,
                                      self.method)
         rhs = compiled.step_rhs(compiled.source_vector(t), cap_ieq, ind_veq)
-        try:
-            s = self._solve(rhs)
-        except SingularMatrixError:
-            return None
-        if not np.isfinite(s).all():
-            return None
-        x_new = self._newton_iterate(x, s)
-        if x_new is not None:
+        s = self._solve(rhs)
+        x_new, failed = self._newton_iterate(self.x, s)
+        if failed is None:
             _update_state(compiled, state, x_new, self.cap_geq, cap_ieq,
                           self.ind_geq, ind_veq, self.method)
-        return x_new
+            self.x = x_new
+            return []
+        left = [(int(self.cols[j]), self.x[:, j].copy(), state.column(j))
+                for j in np.flatnonzero(failed)]
+        keep = ~failed
+        _update_state(compiled, state, x_new, self.cap_geq, cap_ieq,
+                      self.ind_geq, ind_veq, self.method)
+        state.keep(keep)
+        self.x = x_new[:, keep]
+        self.cols = self.cols[keep]
+        if self._sparse:
+            self._matrices = [m for m, k in zip(self._matrices, keep) if k]
+        else:
+            self._matrices = self._matrices[keep]
+        return left
 
-    def _newton_iterate(self, x: np.ndarray,
-                        s: np.ndarray) -> np.ndarray | None:
-        """The iterate :func:`newton_solve` returns from *x* when every
-        iteration solves to *s*, or None once an iterate is clamped.
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Every held column's step solution; a singular column comes
+        back as NaN.  A stacked ``gesv`` runs the one-matrix kernel per
+        slice, so each column is bitwise the solve Newton makes of it."""
+        if self._sparse:
+            s = np.empty_like(rhs)
+            for j, lu in enumerate(self._matrices):
+                s[:, j] = lu.solve(rhs[:, j])
+            return s
+        try:
+            return solve_dense(self._matrices, rhs.T[:, :, None])[:, :, 0].T
+        except SingularMatrixError:
+            s = np.full_like(rhs, np.nan)
+            for j, g in enumerate(self._matrices):
+                try:
+                    s[:, j] = solve_dense(g, rhs[:, j])
+                except SingularMatrixError:
+                    pass
+            return s
+
+    def _newton_iterate(self, x: np.ndarray, s: np.ndarray,
+                        ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The iterate :func:`newton_solve` returns from each column of
+        *x* when every iteration solves to that column of *s*, and the
+        mask of the columns that fail (None when none does).  The
+        common step, every column converging at the same iteration with
+        none clamped, returns before any per-column bookkeeping: the
+        masked replay costs a one-column step about half again.
 
         Newton's updates are replayed, not skipped: x1 = x + (s - x) is
         not always s (a component that changes sign within tolerance
-        converges at once, keeping the rounding of s - x).
+        converges at once, keeping the rounding of s - x).  A column
+        fails when its solution is not finite, an iterate is clamped,
+        or it does not converge within ``max_iter``.
         """
         options = self.options
+        n_cols = s.shape[1]
+        failed = None
+        if not np.isfinite(s).all():
+            failed = ~np.isfinite(s).all(axis=0)
+            s = np.where(failed, x, s)  # stops at once, on x
+        xi = x
+        result = pending = None
         for _ in range(options.max_iter):
-            dx = s - x
-            x = x + dx
-            if _clamped(self.compiled, x, options):
-                return None
-            if step_converged(dx, x, self._abs_tol, options.reltol):
-                return x
-        return None
+            dx = s - xi
+            xi = xi + dx
+            stop = step_converged(dx, xi, self._abs_tol, options.reltol)
+            clamped = _clamped(self.compiled, xi, options)
+            if clamped is not False:  # a clamped iterate fails
+                stop = stop | clamped
+                if pending is not None:
+                    clamped = clamped & pending
+                failed = clamped if failed is None else failed | clamped
+            if pending is None:
+                n_stop = np.count_nonzero(stop)
+                if n_stop == n_cols:  # the common step: all at once
+                    return xi, failed
+                if not n_stop:
+                    continue
+                result = x.copy()
+                pending = np.ones(n_cols, dtype=bool)
+            done = pending & stop
+            result[:, done] = xi[:, done]
+            pending &= ~stop
+            if not pending.any():
+                break
+        if pending is None:  # no column converged within max_iter
+            return x, np.ones(n_cols, dtype=bool)
+        if pending.any():
+            failed = pending if failed is None else failed | pending
+        return result, failed
 
 
-def _clamped(compiled: CompiledCircuit, x: np.ndarray,
-             options: SimOptions) -> bool:
+def _clamped(compiled: CompiledCircuit, x: np.ndarray, options: SimOptions):
     """Whether :meth:`CompiledCircuit.linearize` stamps the breakdown
     clamp at *x*: some node voltage beyond ``±breakdown_voltage`` (NaN
-    ignored, as there)."""
-    return options.breakdown_conductance > 0.0 and bool(
-        (np.abs(x[:compiled.n_nodes]) > options.breakdown_voltage).any())
+    ignored, as there).  For a ``(size, k)`` stack: False when no column
+    is clamped, else the per-column mask."""
+    over = np.abs(x[:compiled.n_nodes]) > options.breakdown_voltage
+    if options.breakdown_conductance > 0.0 and over.any():
+        return over.any(axis=0)
+    return False
 
 
-def _linear_stepper(compiled: CompiledCircuit, x: np.ndarray, dt: float,
-                    method: str,
-                    options: SimOptions) -> _LinearStepper | None:
-    """The linear stepper of this transient, or None for Newton."""
-    if not compiled.plan.linear or _clamped(compiled, x, options):
+def _column_stepper(compiled: CompiledCircuit, overlays, x: np.ndarray,
+                    dt: float, method: str,
+                    options: SimOptions) -> _ColumnStepper | None:
+    """The linear stepper of these transient columns, or None for
+    Newton."""
+    if not compiled.plan.linear:
         return None
-    try:
-        return _LinearStepper(compiled, x, dt, method, options)
-    except SingularMatrixError:
-        return None
+    return _ColumnStepper(compiled, overlays, x, dt, method, options)
 
 
 def _update_state(compiled: CompiledCircuit, state: _ReactiveState,
@@ -224,14 +345,90 @@ def _update_state(compiled: CompiledCircuit, state: _ReactiveState,
         state.ind_i = i_new
 
 
+def _newton_steps(compiled: CompiledCircuit, state: _ReactiveState,
+                  x: np.ndarray, times: np.ndarray, first: int, dt: float,
+                  options: SimOptions, trace: np.ndarray) -> int:
+    """Run steps *first*.. of one column on Newton, writing *trace*;
+    returns the Newton iterations spent."""
+    iterations = 0
+    for k in range(first, len(times)):
+        try:
+            x, iters = _advance(compiled, state, x, times[k - 1], dt,
+                                options.transient_method, options, depth=0)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                f"transient step to t={times[k]:.4g}s failed: "
+                f"{exc}") from exc
+        iterations += iters
+        trace[:, k] = x
+    return iterations
+
+
+def _run_columns(compiled: CompiledCircuit, overlays, ops, times: np.ndarray,
+                 dt: float, options: SimOptions,
+                 ) -> list[TransientResult | AnalysisError]:
+    """Integrate every column over *times*; see :func:`transient`."""
+    n_cols, n_out = len(ops), len(times)
+    x0 = np.array([op.x for op in ops], dtype=float).T
+    # One (size, n_out) trace per column: a single transient's is
+    # contiguous as it stands, a family's is copied out per column.
+    traces = np.empty((compiled.size, n_out, n_cols))
+    traces[:, 0] = x0
+    # column -> (first Newton step, solution and state before it)
+    newton: dict[int, tuple[int, np.ndarray, _ReactiveState]] = {}
+    stepper = _column_stepper(compiled, overlays, x0, dt,
+                              options.transient_method, options)
+    held = set() if stepper is None else set(stepper.cols.tolist())
+    for c in range(n_cols):
+        if c not in held:
+            x = x0[:, c].copy()
+            newton[c] = (1, x, _ReactiveState(compiled, x))
+    for k in range(1, n_out):
+        if not held:
+            break
+        for c, x, state in stepper.advance(times[k - 1] + dt):
+            newton[c] = (k, x, state)
+            held.discard(c)
+        if len(held) == n_cols:
+            traces[:, k] = stepper.x
+        else:
+            traces[:, k, stepper.cols] = stepper.x
+
+    results: list[TransientResult | AnalysisError] = []
+    for c in range(n_cols):
+        trace = np.ascontiguousarray(traces[:, :, c])
+        # A stepped step counts one iteration (its one solve).
+        first, x, state = newton.get(c, (n_out, None, None))
+        iterations = first - 1
+        if x is not None:
+            try:
+                with _pushed(compiled, overlays[c]):
+                    iterations += _newton_steps(
+                        compiled, state, x, times, first, dt, options,
+                        trace)
+            except AnalysisError as exc:
+                results.append(exc)
+                continue
+        results.append(TransientResult(
+            t=times,
+            node_voltages={name: trace[i]
+                           for name, i in compiled.node_index.items()},
+            branch_currents={name: trace[i]
+                             for name, i in compiled.branch_index.items()},
+            newton_iterations=iterations))
+    return results
+
+
 def transient(
     circuit: Circuit | CompiledCircuit,
     t_stop: float,
     dt: float,
     t_start: float = 0.0,
     options: SimOptions = DEFAULT_OPTIONS,
-    x0: OperatingPoint | np.ndarray | None = None,
-) -> TransientResult:
+    x0: OperatingPoint | np.ndarray | Sequence[OperatingPoint] | None = None,
+    *,
+    overlays: Sequence[Sequence[tuple[str, str, float]]] | None = None,
+) -> TransientResult | list[TransientResult | AnalysisError]:
     """Integrate the circuit from *t_start* to *t_stop* with fixed step *dt*.
 
     The initial condition is the DC operating point with every waveform at
@@ -242,6 +439,15 @@ def transient(
     evaluated on the integration grid; the output contains every node
     voltage and branch current at every grid point.
 
+    With *overlays*, the transient integrates a fault family in
+    lockstep on the compiled circuit: column *c* is the circuit with the
+    conductance stamps ``overlays[c]`` pushed (the format of
+    :meth:`~repro.analysis.mna.CompiledCircuit.push_overlay`), started
+    from the operating point ``x0[c]``.  It returns one entry per
+    column, the column's result or the :class:`~repro.errors.AnalysisError`
+    its integration raised, each equal to what the single transient of
+    that column gives or raises.
+
     Raises:
         ConvergenceError: if a step fails even after sub-stepping and the
             homotopy ladder.
@@ -250,50 +456,21 @@ def transient(
                 else CompiledCircuit(circuit))
     if dt <= 0.0 or t_stop <= t_start:
         raise ValueError("transient needs dt > 0 and t_stop > t_start")
+    n_steps = int(round((t_stop - t_start) / dt))
+    times = t_start + dt * np.arange(n_steps + 1)
 
+    if overlays is not None:
+        if x0 is None or len(x0) != len(overlays):
+            raise ValueError("a column transient needs one operating "
+                             "point per overlay")
+        if not overlays:
+            return []
+        return _run_columns(compiled, overlays, x0, times, dt, options)
     if isinstance(x0, OperatingPoint):
         op = x0
     else:  # None -> cold start; ndarray -> warm-started DC solve
         op = operating_point(compiled, options, x0=x0)
-    x = np.array(op.x, copy=True)
-    state = _ReactiveState(compiled, x)
-    method = options.transient_method
-
-    n_steps = int(round((t_stop - t_start) / dt))
-    times = t_start + dt * np.arange(n_steps + 1)
-
-    n_out = len(times)
-    volt_traces = np.empty((compiled.n_nodes, n_out))
-    branch_traces = np.empty((compiled.size - compiled.n_nodes, n_out))
-    volt_traces[:, 0] = x[:compiled.n_nodes]
-    branch_traces[:, 0] = x[compiled.n_nodes:]
-
-    stepper = _linear_stepper(compiled, x, dt, method, options)
-    total_iterations = 0
-    for k in range(1, n_out):
-        if stepper is not None:
-            x_step = stepper.advance(state, x, times[k - 1] + dt)
-            if x_step is None:
-                stepper = None
-            else:
-                x, iters = x_step, 1
-        if stepper is None:
-            try:
-                x, iters = _advance(compiled, state, x, times[k - 1], dt,
-                                    method, options, depth=0)
-            except ConvergenceError as exc:
-                raise ConvergenceError(
-                    f"transient step to t={times[k]:.4g}s failed: "
-                    f"{exc}") from exc
-        total_iterations += iters
-        volt_traces[:, k] = x[:compiled.n_nodes]
-        branch_traces[:, k] = x[compiled.n_nodes:]
-
-    node_voltages = {name: volt_traces[i]
-                     for name, i in compiled.node_index.items()}
-    branch_currents = {
-        name: branch_traces[i - compiled.n_nodes]
-        for name, i in compiled.branch_index.items()}
-    return TransientResult(t=times, node_voltages=node_voltages,
-                           branch_currents=branch_currents,
-                           newton_iterations=total_iterations)
+    result, = _run_columns(compiled, [()], [op], times, dt, options)
+    if isinstance(result, AnalysisError):
+        raise result
+    return result

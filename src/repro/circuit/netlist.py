@@ -10,7 +10,7 @@ dataclasses, derived circuits share element objects safely.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.errors import NetlistError
 from repro.circuit.elements import (
@@ -143,9 +143,15 @@ class Circuit:
 
     def has_node(self, node: str) -> bool:
         """True if any element terminal references *node*."""
-        if is_ground(node):
-            return any(is_ground(n) for e in self for n in e.nodes)
-        return any(n == node for e in self for n in e.nodes)
+        return self.node_test()(node)
+
+    def node_test(self) -> Callable[[str], bool]:
+        """:meth:`has_node` for many queries: the terminal scan runs once,
+        here, and each call of the returned test is a set lookup (ground
+        aliases match each other)."""
+        present = {n for e in self for n in e.nodes}
+        grounded = any(map(is_ground, present))
+        return lambda node: grounded if is_ground(node) else node in present
 
     def elements_at(self, node: str) -> tuple[Element, ...]:
         """All elements with a terminal on *node*."""

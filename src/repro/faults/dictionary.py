@@ -54,7 +54,8 @@ def validate_fault_nodes(circuit: Circuit,
         FaultModelError: naming all nodes absent from *circuit*.
     """
     node_list = tuple(nodes)
-    missing = sorted(n for n in node_list if not circuit.has_node(n))
+    has_node = circuit.node_test()
+    missing = sorted(n for n in node_list if not has_node(n))
     if missing:
         raise FaultModelError(
             f"fault node(s) {', '.join(repr(n) for n in missing)} not "

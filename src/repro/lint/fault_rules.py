@@ -107,6 +107,7 @@ def check_site_unknown(ctx: LintContext):
     if ctx.circuit is None:
         return
     circuit = ctx.circuit
+    has_node = circuit.node_test()
     for fault in ctx.faults:
         missing: list[str] = []
         node_a = getattr(fault, "node_a", None)
@@ -114,7 +115,7 @@ def check_site_unknown(ctx: LintContext):
         device = getattr(fault, "device", None)
         if node_a is not None and node_b is not None:
             for node in (node_a, node_b):
-                if not circuit.has_node(node):
+                if not has_node(node):
                     missing.append(f"node {node!r}")
         elif device is not None:
             try:

@@ -109,6 +109,7 @@ def check_unknown_node(ctx: LintContext):
     circuit = ctx.circuit
     if circuit is None:
         return
+    has_node = circuit.node_test()
     for config in ctx.configurations:
         missing: list[str] = []
         description = getattr(config, "description", None)
@@ -116,7 +117,7 @@ def check_unknown_node(ctx: LintContext):
             for group, nodes in (("control", description.control_nodes),
                                  ("observe", description.observe_nodes)):
                 for node in nodes:
-                    if not circuit.has_node(node):
+                    if not has_node(node):
                         missing.append(f"{group} node {node!r}")
         procedure = getattr(config, "procedure", None)
         source = getattr(procedure, "source", None)
@@ -128,11 +129,11 @@ def check_unknown_node(ctx: LintContext):
                 missing.append(f"stimulus element {source!r} "
                                "(not a source)")
         observe = getattr(procedure, "observe", None)
-        if observe is not None and not circuit.has_node(observe):
+        if observe is not None and not has_node(observe):
             missing.append(f"observe node {observe!r}")
         for probe in getattr(procedure, "probes", ()):
             if probe.kind == "v":
-                if not circuit.has_node(probe.target):
+                if not has_node(probe.target):
                     missing.append(f"probed node {probe.target!r}")
             elif probe.target not in circuit:
                 missing.append(f"probed element {probe.target!r}")

@@ -30,8 +30,9 @@ each carrying instrument error.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -174,14 +175,23 @@ class TestExecutor:
         return raw
 
     def faulty_raw(self, fault: FaultModel, vector: Sequence[float], *,
-                   warm: WarmStart | None = None) -> np.ndarray:
+                   warm: WarmStart | None = None,
+                   _observe: Callable[[], np.ndarray | AnalysisError]
+                   | None = None) -> np.ndarray:
         """Raw observation with *fault* stamped onto the engine's compiled
         overlay base.  *warm* overrides the engine's per-(base, fault)
-        warm slot (canonical callers pass their own).
+        warm slot (canonical callers pass their own).  *_observe* gives
+        the fault's entry of a family run instead (see
+        :meth:`screen_faults`); an error entry is raised here.
         """
-        params = self.configuration.parameters.to_dict(vector)
-        raw = self.engine.simulate_fault(self.configuration.procedure,
-                                         params, fault, warm=warm)
+        if _observe is None:
+            params = self.configuration.parameters.to_dict(vector)
+            raw = self.engine.simulate_fault(self.configuration.procedure,
+                                             params, fault, warm=warm)
+        else:
+            raw = _observe()
+            if isinstance(raw, AnalysisError):
+                raise raw
         self.stats.faulty_simulations += 1
         self.stats.overlay_simulations += 1
         return raw
@@ -211,7 +221,9 @@ class TestExecutor:
 
     def sensitivity(self, fault: FaultModel, vector: Sequence[float], *,
                     canonical: bool = False,
-                    _warm: WarmStart | None = None) -> SensitivityReport:
+                    _warm: WarmStart | None = None,
+                    _observe: Callable[[], np.ndarray | AnalysisError]
+                    | None = None) -> SensitivityReport:
         """Evaluate ``S_f`` for *fault* at parameter *vector*.
 
         A faulty circuit the simulator cannot converge counts as
@@ -227,14 +239,17 @@ class TestExecutor:
         (circuit, configuration, fault, vector); *_warm* is the
         canonical caller's explicit warm slot (the batched screen's
         solution when margin-confirming, mirroring the engine slot a
-        fresh executor's screen would have left behind).
+        fresh executor's screen would have left behind).  *_observe*
+        replaces the per-fault simulation with the fault's entry of a
+        family run (see :meth:`faulty_raw`).
         """
         vector = self.configuration.parameters.clip(vector)
         if canonical and _warm is None:
             _warm = WarmStart()
         nominal = self.nominal_raw(vector, canonical=canonical)
         try:
-            observed = self.faulty_raw(fault, vector, warm=_warm)
+            observed = self.faulty_raw(fault, vector, warm=_warm,
+                                       _observe=_observe)
             deviations = self.configuration.procedure.deviations(
                 nominal, observed)
         except OverlayValidationError:
@@ -272,7 +287,11 @@ class TestExecutor:
         detection threshold ``S_f = 0`` is re-evaluated on the per-fault
         path outright.  Procedures outside the screening protocol (and
         engines in ``validate_overlay`` debug mode) transparently fall
-        back to per-fault :meth:`sensitivity` calls.
+        back to per-fault :meth:`sensitivity` calls.  A procedure with a
+        column entry point (the step transients) first simulates the
+        whole family (:meth:`SimulationEngine.simulate_faults`: in
+        lockstep on a linear circuit); each fault's report is then the
+        one :meth:`sensitivity` builds from its observation.
 
         With ``canonical=True`` the whole evaluation runs history-free
         (see :meth:`SimulationEngine.screen_faults`): the reports are
@@ -284,9 +303,12 @@ class TestExecutor:
         vector = self.configuration.parameters.clip(vector)
         procedure = self.configuration.procedure
         if not self.engine.screen_supported(procedure):
-            return tuple(self.sensitivity(fault, vector,
-                                          canonical=canonical)
-                         for fault in faults)
+            observe = [None] * len(faults)
+            if self.engine.columns_supported(procedure):
+                observe = self._lockstep(faults, vector, canonical)
+            return tuple(self.sensitivity(fault, vector, canonical=canonical,
+                                          _observe=entry)
+                         for fault, entry in zip(faults, observe))
         nominal = self.nominal_raw(vector, canonical=canonical)
         boxes = self.boxes(vector, canonical=canonical)
         if np.any(boxes <= 0.0):
@@ -341,6 +363,24 @@ class TestExecutor:
                 value=value, components=components[k],
                 deviations=deviations[k], boxes=boxes, params=params_arr))
         return tuple(reports)
+
+    def _lockstep(self, faults: Sequence[FaultModel],
+                  vector: Sequence[float], canonical: bool) -> list:
+        """Per fault, a callable returning its entry of one family
+        run (:meth:`SimulationEngine.simulate_faults`).  The
+        family runs at the first call, which comes after the first
+        fault's nominal lookup, so the engine sees the nominal, then
+        the faults, as on the per-fault path."""
+        family: list = []
+
+        def entry(k: int):
+            if not family:
+                family.extend(self.engine.simulate_faults(
+                    self.configuration.procedure,
+                    self.configuration.parameters.to_dict(vector), faults,
+                    canonical=canonical))
+            return family[k]
+        return [partial(entry, k) for k in range(len(faults))]
 
     def detection_probabilities(self, faults: Sequence[FaultModel],
                                 vector: Sequence[float], *,

@@ -29,6 +29,16 @@ Each procedure offers two simulation paths:
   ``validate_overlay`` cross-check and box-function calibration (on
   per-sample process variants) call it.
 
+:class:`StepProcedure` also has a column entry point,
+:meth:`StepProcedure.simulate_columns`: a whole fault family on one
+compiled base, each fault's DC point solved from its own warm slot and
+every fault's step transient advanced in lockstep by one column
+:func:`~repro.analysis.transient` call, each column bitwise what
+:meth:`~MeasurementProcedure.simulate_compiled` gives for that fault.
+The engine serves the non-screening families of linear circuits through
+it (:meth:`SimulationEngine.simulate_faults`); on a MOS or diode circuit
+every step runs Newton anyway, and each fault is simulated alone.
+
 Procedures are macro-agnostic: node and source names are constructor
 arguments, so the same classes serve any macro type.
 """
@@ -45,7 +55,7 @@ from repro.analysis import SimOptions, DEFAULT_OPTIONS, operating_point, transie
 from repro.analysis.mna import CompiledCircuit
 from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
-from repro.errors import TestGenerationError
+from repro.errors import AnalysisError, TestGenerationError
 from repro.measure import thd_percent
 from repro.waveforms import DCWave, SineWave, StepWave, Waveform
 
@@ -385,12 +395,15 @@ class StepProcedure(MeasurementProcedure):
         self.slew_rate = slew_rate
         self.n_return_values = 1
 
-    def simulate(self, circuit: Circuit, params: Mapping[str, float],
-                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        wave = StepWave(base=params[self.base_param],
+    def _wave(self, params: Mapping[str, float]) -> StepWave:
+        return StepWave(base=params[self.base_param],
                         elev=params[self.elev_param],
                         t_step=self.t_step, slew_rate=self.slew_rate)
-        stimulated = self._swap_stimulus(circuit, self.source, wave)
+
+    def simulate(self, circuit: Circuit, params: Mapping[str, float],
+                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
+        stimulated = self._swap_stimulus(circuit, self.source,
+                                         self._wave(params))
         result = transient(stimulated, t_stop=self.test_time,
                            dt=1.0 / self.sample_rate, options=options)
         return result.v(self.observe)
@@ -399,16 +412,56 @@ class StepProcedure(MeasurementProcedure):
                           params: Mapping[str, float],
                           options: SimOptions = DEFAULT_OPTIONS,
                           warm=None) -> np.ndarray:
-        wave = StepWave(base=params[self.base_param],
-                        elev=params[self.elev_param],
-                        t_step=self.t_step, slew_rate=self.slew_rate)
-        with self._patch_stimulus(compiled, self.source, wave):
+        with self._patch_stimulus(compiled, self.source, self._wave(params)):
             op = operating_point(compiled, options, x0=self._warm_x(warm))
             self._store_warm(warm, op)
             result = transient(compiled, t_stop=self.test_time,
                                dt=1.0 / self.sample_rate, options=options,
                                x0=op)
         return result.v(self.observe)
+
+    def simulate_columns(self, compiled: CompiledCircuit,
+                         params: Mapping[str, float], overlays,
+                         options: SimOptions, warm_slots) -> list:
+        """Raw observations of a fault family, simulated in lockstep.
+
+        Column *c* is *compiled* with the stamps ``overlays[c]`` pushed.
+        ``warm_slots[c]()`` gives its warm slot, fetched right before its
+        DC solve, which warm-starts from the slot and writes back to it:
+        in column order, as :meth:`simulate_compiled` does fault by
+        fault.  Then one column :func:`~repro.analysis.transient`
+        integrates every column together.  Returns one entry per column:
+        the raw observation, or the
+        :class:`~repro.errors.AnalysisError` that column raised, each as
+        :meth:`simulate_compiled` gives or raises it for the column
+        alone.
+        """
+        results: list = [None] * len(overlays)
+        ops, cols = [], []
+        with self._patch_stimulus(compiled, self.source, self._wave(params)):
+            for c, (stamps, slot) in enumerate(zip(overlays, warm_slots)):
+                warm = slot()
+                try:
+                    with compiled.overlay(stamps):
+                        op = operating_point(compiled, options,
+                                             x0=self._warm_x(warm))
+                except AnalysisError as exc:
+                    results[c] = exc
+                    continue
+                self._store_warm(warm, op)
+                ops.append(op)
+                cols.append(c)
+            runs = transient(
+                compiled, t_stop=self.test_time, dt=1.0 / self.sample_rate,
+                options=options, x0=ops,
+                overlays=[overlays[c] for c in cols]) if cols else []
+        for c, run in zip(cols, runs):
+            try:
+                results[c] = (run if isinstance(run, AnalysisError)
+                              else run.v(self.observe))
+            except AnalysisError as exc:
+                results[c] = exc
+        return results
 
     def deviations(self, raw_nominal: np.ndarray,
                    raw_observed: np.ndarray) -> np.ndarray:

@@ -118,8 +118,17 @@ class StepWave(Waveform):
         return abs(self.elev) / self.slew_rate
 
     def value_at(self, t):
-        t = np.asarray(t, dtype=float)
         ramp = self.ramp_time
+        if isinstance(t, float):
+            # A transient's per-step call: the array path's arithmetic
+            # in plain floats (np.clip keeps NaN and -0.0 as they are).
+            if ramp == 0.0:
+                return float(self.base + self.elev if t >= self.t_step
+                             else self.base)
+            frac = (t - self.t_step) / ramp
+            frac = 0.0 if frac < 0.0 else 1.0 if frac > 1.0 else frac
+            return float(self.base + self.elev * frac)
+        t = np.asarray(t, dtype=float)
         if ramp == 0.0:
             out = np.where(t >= self.t_step, self.base + self.elev, self.base)
         else:

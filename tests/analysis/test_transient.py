@@ -267,14 +267,14 @@ def _rlc(r=200.0):
 def stepper_calls(monkeypatch):
     """Record every stepper step's outcome (None: fell back to Newton)."""
     calls = []
-    advance = transient_module._LinearStepper.advance
+    advance = transient_module._ColumnStepper.advance
 
-    def recording(self, state, x, t):
-        result = advance(self, state, x, t)
-        calls.append(result is not None)
-        return result
+    def recording(self, t):
+        left = advance(self, t)
+        calls.append(not left)
+        return left
 
-    monkeypatch.setattr(transient_module._LinearStepper, "advance",
+    monkeypatch.setattr(transient_module._ColumnStepper, "advance",
                         recording)
     return calls
 
@@ -382,7 +382,7 @@ class TestLinearStepperParity:
         def refuse(*args, **kwargs):
             raise AssertionError("a MOS circuit reached the linear stepper")
 
-        monkeypatch.setattr(transient_module, "_LinearStepper", refuse)
+        monkeypatch.setattr(transient_module, "_ColumnStepper", refuse)
         circuit = (CircuitBuilder("sf")
                    .voltage_source("VDD", "vdd", "0", 5.0)
                    .voltage_source("VG", "g", "0",

@@ -86,6 +86,40 @@ class TestStepWave:
         w = StepWave(base=0.0, elev=1.0, t_step=10e-6, slew_rate=1e5)
         assert w.value_at(t) <= w.value_at(t + 1e-6) + 1e-12
 
+    def test_scalar_time_matches_array_path_bitwise(self):
+        """A float time (a transient's per-step call) takes plain-float
+        arithmetic; it must give the array path's bits, signed zeros,
+        NaN and infinite times, infinite levels and zero-length ramps
+        included.  A NaN level is NaN on both paths, but where it meets
+        a second NaN IEEE 754 leaves open which one propagates, and the
+        two paths may return NaNs of different sign."""
+        special = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, np.inf, -np.inf,
+                   1e-300]
+        waves = [StepWave(base=b, elev=e, t_step=ts, slew_rate=sr)
+                 for b in special for e in special
+                 for ts in (0.0, -0.0, 1e-6, np.inf)
+                 for sr in (1e6, 1e300)]
+        assert any(w.ramp_time == 0.0 and w.elev != 0.0 for w in waves)
+        for w in (StepWave(base=np.nan), StepWave(elev=np.nan)):
+            for t in (0.0, 1e-3, np.inf, np.nan):
+                assert np.isnan(w.value_at(t))
+                assert np.isnan(w.value_at(np.asarray(t)))
+        rng = np.random.default_rng(7)
+        for w in waves:
+            ramp = w.ramp_time
+            times = [0.0, -0.0, np.inf, -np.inf, np.nan, w.t_step,
+                     np.nextafter(w.t_step, -np.inf),
+                     np.nextafter(w.t_step, np.inf),
+                     w.t_step + ramp / 2.0, w.t_step + ramp,
+                     *rng.uniform(-1e-6, 5e-6, 4)]
+            for t in times:
+                array = np.float64(w.value_at(np.asarray(t)))
+                for scalar in (w.value_at(float(t)),
+                               w.value_at(np.float64(t))):
+                    assert type(scalar) is float
+                    assert (np.float64(scalar).view(np.int64)
+                            == array.view(np.int64)), (w, t)
+
 
 class TestPulseWave:
     def test_levels(self):
