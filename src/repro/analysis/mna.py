@@ -13,7 +13,10 @@ work:
   assembled once into a static matrix that each Newton iteration copies;
 * MOSFETs and diodes are evaluated as vector banks
   (:func:`repro.circuit.mosfet.mos_level1_bank`,
-  :func:`repro.circuit.diode.diode_eval`);
+  :func:`repro.circuit.diode.diode_eval`); for one state, as every
+  scalar Newton iteration has, MOSFETs go through the per-device kernel
+  :func:`repro.circuit.mosfet.mos_level1_stamps` instead (bitwise the
+  same values, at a fraction of the numpy call overhead);
 * one :class:`StampPlan` per compiled circuit holds every bias-dependent
   stamp position (node-diagonal gmin, MOS, diode, capacitor-companion and
   inductor stamps) as flat scatter indices in a fixed accumulation
@@ -73,7 +76,7 @@ from repro.circuit.elements import (
     VoltageSource,
     is_ground,
 )
-from repro.circuit.mosfet import Level1Bank, Mosfet, mos_level1_bank
+from repro.circuit.mosfet import Level1Bank, Mosfet, mos_level1_stamps
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, SingularMatrixError
 from repro.waveforms.sources import Waveform
@@ -257,6 +260,9 @@ class StampPlan:
         #: gives the stacked (vgs, vbs, vds) of :func:`mos_level1_bank`.
         self.mos_terms: np.ndarray | None = None
         self.mos_bank: Level1Bank | None = None
+        #: Per-device rows of :func:`mos_level1_stamps`, the one-state
+        #: MOS evaluation of :meth:`CompiledCircuit._stamp`.
+        self.mos_devices: tuple[tuple, ...] | None = None
         if compiled.n_mosfets:
             d, g = compiled.mos_d, compiled.mos_g
             s, b = compiled.mos_s, compiled.mos_b
@@ -264,6 +270,7 @@ class StampPlan:
             self.mos_bank = Level1Bank(
                 compiled.mos_sign, compiled.mos_beta, compiled.mos_vto,
                 compiled.mos_lam, compiled.mos_gamma, compiled.mos_phi)
+            self.mos_devices = self.mos_bank.devices(d, g, s, b)
             self.mos = _Family(
                 size, ((d, g), (d, d), (d, b), (d, s),
                        (s, g), (s, d), (s, b), (s, s)), _MOS_SIGNS,
@@ -765,9 +772,14 @@ class CompiledCircuit:
         matrix and the sources, at the positions *scatter* names.
 
         The families go in a fixed order, each as one ``np.add.at`` over
-        its plan indices (matrix and RHS together); values are built as
-        one concatenation times the family's sign vector (multiplying by
-        -1.0 is exact negation).
+        its plan indices (matrix and RHS together).  The state here is
+        always one 1-D column, so the MOS family's values come from the
+        per-device kernel :func:`~repro.circuit.mosfet.mos_level1_stamps`,
+        bitwise the values (signs applied) that the numpy bank
+        :func:`~repro.circuit.mosfet.mos_level1_bank` gives a column
+        stack in ``batched._assemble``.  The other families build their
+        values as one concatenation times the family's sign vector
+        (multiplying by -1.0 is exact negation).
         """
         plan = self.plan
         buf[scatter.diag] += gmin
@@ -791,16 +803,8 @@ class CompiledCircuit:
             buf[scatter.rhs + plan.nodes[under]] -= gbd * breakdown_voltage
 
         if self.n_mosfets:
-            terms = xa[plan.mos_terms] - xa[self.mos_s]
-            bank = plan.mos_bank
-            ids, gm, gds, gmb = mos_level1_bank(bank.sign * terms, bank)
-            vgs, vbs, vds = terms
-            ieq = ids - gm * vgs - gds * vds - gmb * vbs
-            gsum = gm + gds + gmb
-            values = np.concatenate(
-                (gm, gds, gmb, gsum, gm, gds, gmb, gsum, ieq, ieq))
-            values *= plan.mos.sign
-            np.add.at(buf, scatter.mos, values)
+            np.add.at(buf, scatter.mos,
+                      mos_level1_stamps(xa.tolist(), plan.mos_devices))
 
         if self.n_diodes:
             vd = xa[self.dio_a] - xa[self.dio_c]

@@ -12,7 +12,9 @@ into a dense augmented buffer and go to LAPACK; large ones scatter the
 same stamps straight into the ``data`` of a fixed CSC pattern and go to
 SuperLU, with no dense matrix in between.  Everything that does not
 change between iterations (tolerances, the step-limit mask, the option
-values) is read once per call.
+values) is read once per call.  An iteration evaluates its MOSFETs with
+the per-device kernel :func:`~repro.circuit.mosfet.mos_level1_stamps`
+(bitwise the numpy bank, at a fraction of its call overhead).
 """
 
 from __future__ import annotations

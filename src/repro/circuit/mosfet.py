@@ -18,7 +18,11 @@ Two layers:
   transform so NMOS and PMOS evaluate through one code path.
   :func:`mos_level1_bank` is the same evaluation on stacked voltages with
   the cards' constants precomputed (:class:`Level1Bank`), the form the
-  compiled Newton stamper calls every iteration.
+  batched column solvers call.
+* :func:`mos_level1_stamps` — the same evaluation for one state, device
+  by device in plain floats and fused with the stamper's values, the
+  form every scalar Newton iteration calls.  Its values are bitwise the
+  bank's.
 
 The model equations (NMOS orientation, ``vov = vgs - vth``):
 
@@ -33,6 +37,7 @@ with ``beta = kp*(w/l)*m`` and body effect
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import sqrt
 
 import numpy as np
 
@@ -40,7 +45,8 @@ from repro.errors import NetlistError
 from repro.circuit.elements import Element
 
 __all__ = ["MosfetParams", "Mosfet", "Level1Bank", "mos_level1",
-           "mos_level1_bank", "NMOS_DEFAULT", "PMOS_DEFAULT"]
+           "mos_level1_bank", "mos_level1_stamps", "NMOS_DEFAULT",
+           "PMOS_DEFAULT"]
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,20 @@ class Level1Bank:
         self.phi = phi
         self.sqrt_phi = np.sqrt(phi)
 
+    def devices(self, d: np.ndarray, g: np.ndarray, s: np.ndarray,
+                b: np.ndarray) -> tuple[tuple, ...]:
+        """The bank as plain-float per-device rows for
+        :func:`mos_level1_stamps`: each device's augmented terminal
+        indices ``(d, g, s, b)`` and its constants, taken from this
+        bank's own arrays, so both evaluations start from the same
+        bits.  Only meaningful for a 1-D bank (one entry per device)."""
+        return tuple(zip(
+            d.tolist(), g.tolist(), s.tolist(), b.tolist(),
+            self.sign.tolist(), self.beta.tolist(),
+            self.half_beta.tolist(), self.tvto.tolist(), self.lam.tolist(),
+            self.gamma.tolist(), self.neg_gamma.tolist(),
+            self.phi.tolist(), self.sqrt_phi.tolist()))
+
 
 def mos_level1(
     vgs: np.ndarray,
@@ -289,3 +309,77 @@ def mos_level1_bank(
 
     # Undo the polarity transform for the current (partials are invariant).
     return bank.sign * ids, gm, gds, gmb
+
+
+def mos_level1_stamps(xs: list[float], devices: tuple[tuple, ...],
+                      ) -> list[float]:
+    """Signed MNA stamp values of a level-1 bank at one state, per device.
+
+    *xs* is the augmented state as a list (ground last, 0.0) and
+    *devices* the rows of :meth:`Level1Bank.devices`.  Returns the
+    ``10 * n`` values the compiled MOS family scatters, in its order:
+    kind-major ``gm, gds, gmb, -gsum, -gm, -gds, -gmb, gsum`` for the
+    ``(d,g) (d,d) (d,b) (d,s) (s,g) (s,d) (s,b) (s,s)`` matrix stamps,
+    then ``-ieq, ieq`` for the drain and source rows, where
+    ``gsum = gm + gds + gmb`` and ``ieq = ids - gm*vgs - gds*vds -
+    gmb*vbs``.
+
+    This is :func:`mos_level1_bank` plus the stamper's concatenation,
+    element by element in plain floats: a one-state Newton iteration
+    evaluates 6-11 devices, where each of the bank's ~40 numpy calls
+    costs more in call overhead than in arithmetic.  Every operation
+    mirrors the bank's operand order (IEEE arithmetic on one element is
+    the same in numpy and in Python), so the values are bitwise the
+    bank's, signed zeros and infinities included, and NaN where the
+    bank gives NaN (the sign bit numpy gives a NaN made from two NaNs
+    depends on the element's position in the array, so it is not
+    reproducible element by element):
+
+    * the clamp ``max(phi - vbs, 1e-4)`` keeps a NaN, like
+      ``np.maximum`` (``max(1e-4, p)`` would drop it);
+    * squares are ``vov*vov``, as numpy computes ``vov**2`` (Python's
+      ``**`` would raise on overflow);
+    * the signs multiply by ``-1.0``, as the stamper's sign vector does.
+    """
+    n = len(devices)
+    out = [0.0] * (10 * n)
+    for i, (d, g, s, b, sign, beta, half_beta, tvto, lam, gamma,
+            neg_gamma, phi, sqrt_phi) in enumerate(devices):
+        vs = xs[s]
+        vgs = xs[g] - vs
+        vbs = xs[b] - vs
+        vds = xs[d] - vs
+        tvgs = sign * vgs
+        tvbs = sign * vbs
+        tvds = sign * vds
+        inverted = tvds < 0.0
+        if inverted:
+            tvgs = tvgs - tvds
+            tvbs = tvbs - tvds
+        evds = abs(tvds)
+        phi_vbs = phi - tvbs
+        sqrt_phi_vbs = sqrt(1e-4 if phi_vbs < 1e-4 else phi_vbs)
+        vov = tvgs - (tvto + gamma * (sqrt_phi_vbs - sqrt_phi))
+        clm = 1.0 + lam * evds
+        if vov > 0.0:
+            if evds >= vov:
+                half_beta_vov2 = half_beta * (vov * vov)
+                ids = half_beta_vov2 * clm
+                gm = beta * vov * clm
+                gds = half_beta_vov2 * lam
+            else:
+                vmid = vov - 0.5 * evds
+                ids = beta * vmid * evds * clm
+                gm = beta * evds * clm
+                gds = beta * ((vov - evds) * clm + vmid * evds * lam)
+        else:
+            ids = gm = gds = 0.0
+        gmb = -gm * (neg_gamma / (2.0 * sqrt_phi_vbs) if phi_vbs > 1e-4
+                     else 0.0)
+        if inverted:
+            ids, gm, gds, gmb = -ids, -gm, gm + gds + gmb, -gmb
+        ieq = sign * ids - gm * vgs - gds * vds - gmb * vbs
+        gsum = gm + gds + gmb
+        out[i::n] = (gm, gds, gmb, gsum * -1.0, gm * -1.0, gds * -1.0,
+                     gmb * -1.0, gsum, ieq * -1.0, ieq)
+    return out

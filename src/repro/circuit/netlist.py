@@ -38,6 +38,8 @@ class Circuit:
                  elements: Iterable[Element] = ()) -> None:
         self.name = name
         self._elements: dict[str, Element] = {}
+        # nodes() per include_ground, until the next add.
+        self._nodes: dict[bool, tuple[str, ...]] = {}
         for element in elements:
             self.add(element)
 
@@ -53,6 +55,7 @@ class Circuit:
         if key in self._elements:
             raise NetlistError(f"duplicate element name: {element.name!r}")
         self._elements[key] = element
+        self._nodes = {}
         return self
 
     def extend(self, elements: Iterable[Element]) -> "Circuit":
@@ -132,14 +135,21 @@ class Circuit:
         return tuple(e for e in self._elements.values() if isinstance(e, kind))
 
     def nodes(self, include_ground: bool = False) -> tuple[str, ...]:
-        """All node names referenced by elements, in first-seen order."""
+        """All node names referenced by elements, in first-seen order.
+
+        Kept per circuit until the next :meth:`add` (lint rules, the
+        compiler and fault derivation all ask for the same list)."""
+        cached = self._nodes.get(include_ground)
+        if cached is not None:
+            return cached
         seen: dict[str, None] = {}
         for element in self._elements.values():
             for node in element.nodes:
-                if is_ground(node) and not include_ground:
-                    continue
                 seen.setdefault(node, None)
-        return tuple(seen)
+        if not include_ground:
+            seen = {node: None for node in seen if not is_ground(node)}
+        nodes = self._nodes[include_ground] = tuple(seen)
+        return nodes
 
     def has_node(self, node: str) -> bool:
         """True if any element terminal references *node*."""
@@ -151,7 +161,7 @@ class Circuit:
         aliases match each other)."""
         present = {n for e in self for n in e.nodes}
         grounded = any(map(is_ground, present))
-        return lambda node: grounded if is_ground(node) else node in present
+        return lambda node: node in present or (grounded and is_ground(node))
 
     def elements_at(self, node: str) -> tuple[Element, ...]:
         """All elements with a terminal on *node*."""

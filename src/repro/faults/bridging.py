@@ -8,7 +8,7 @@ node pairs at an initial impact of 10 kOhm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.circuit.elements import Resistor, is_ground
 from repro.circuit.netlist import Circuit
@@ -32,22 +32,24 @@ class BridgingFault(FaultModel):
 
     node_a: str = ""
     node_b: str = ""
+    #: The two nodes ground-canonicalized and sorted, set once at
+    #: construction (``fault_id`` is read many times per fault).
+    _pair: tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
         if not self.node_a or not self.node_b:
             raise FaultModelError("bridging fault needs two node names")
-        if self._canon(self.node_a) == self._canon(self.node_b):
+        a = "0" if is_ground(self.node_a) else self.node_a
+        b = "0" if is_ground(self.node_b) else self.node_b
+        if a == b:
             raise FaultModelError(
                 f"bridging fault nodes must differ, got {self.node_a!r} twice")
-
-    @staticmethod
-    def _canon(node: str) -> str:
-        return "0" if is_ground(node) else node
+        object.__setattr__(self, "_pair", (a, b) if a < b else (b, a))
 
     @property
     def fault_id(self) -> str:
-        a, b = sorted((self._canon(self.node_a), self._canon(self.node_b)))
+        a, b = self._pair
         return f"bridge:{a}:{b}"
 
     @property
@@ -61,7 +63,7 @@ class BridgingFault(FaultModel):
     @property
     def element_name(self) -> str:
         """Name of the injected bridge resistor."""
-        a, b = sorted((self._canon(self.node_a), self._canon(self.node_b)))
+        a, b = self._pair
         return f"RBRIDGE_{a}_{b}"
 
     def apply(self, circuit: Circuit) -> Circuit:
@@ -91,7 +93,7 @@ class BridgingFault(FaultModel):
     def stamp_delta(self, compiled) -> tuple[OverlayStamp, ...]:
         """Single conductance ``1/impact`` between the bridged nodes."""
         for node in (self.node_a, self.node_b):
-            if not is_ground(node) and node not in compiled.node_index:
+            if node not in compiled.node_index and not is_ground(node):
                 raise FaultModelError(
                     f"{self.fault_id}: node {node!r} not present in "
                     f"circuit {compiled.circuit.name!r}")

@@ -138,8 +138,8 @@ def check_isource_dc_path(ctx: LintContext):
     if not _ready(ctx):
         return
     circuit = ctx.circuit
-    dc_nodes = {canonical(a) for a, b in dc_conducting_pairs(circuit)}
-    dc_nodes |= {canonical(b) for a, b in dc_conducting_pairs(circuit)}
+    dc_nodes = {canonical(node) for pair in dc_conducting_pairs(circuit)
+                for node in pair}
     for source in circuit.elements_of_type(CurrentSource):
         for node in source.nodes:
             node = canonical(node)

@@ -81,6 +81,19 @@ class TestQueries:
     def test_nodes_with_ground(self, simple):
         assert "0" in simple.nodes(include_ground=True)
 
+    def test_node_list_follows_additions(self, simple):
+        """nodes() is kept per circuit; adding an element drops it."""
+        assert simple.nodes() is simple.nodes()
+        simple.add(Resistor("R3", "out", "tail", 1e3))
+        simple.extend([Resistor("R4", "tail", "gnd", 1e3)])
+        assert simple.nodes() == ("in", "out", "tail")
+        assert simple.nodes(include_ground=True) == (
+            "in", "0", "out", "tail", "gnd")
+        assert simple.without_element("R1").nodes() == ("in", "out", "tail")
+        assert simple.replace_element(
+            Resistor("R3", "out", "other", 1e3)).nodes() == (
+                "in", "out", "other", "tail")
+
     def test_has_node(self, simple):
         assert simple.has_node("out")
         assert simple.has_node("0")

@@ -40,6 +40,23 @@ class TestBridgingFault:
         f = BridgingFault(node_a="gnd", node_b="x", impact=1e4)
         assert f.fault_id == "bridge:0:x"
 
+    def test_canonical_pair_set_at_construction(self):
+        """The pair is computed once, kept out of equality and repr, and
+        recomputed by dataclasses.replace and survives pickling."""
+        import dataclasses
+        import pickle
+
+        f = BridgingFault(node_a="x", node_b="GND", impact=1e4)
+        assert f._pair == ("0", "x")
+        assert f.element_name == "RBRIDGE_0_x"
+        assert "_pair" not in repr(f)
+        g = dataclasses.replace(f, impact=2e4)
+        assert g.fault_id == f.fault_id and g != f
+        assert f == BridgingFault(node_a="x", node_b="GND", impact=1e4)
+        assert hash(f) == hash(BridgingFault(node_a="x", node_b="GND",
+                                             impact=1e4))
+        assert pickle.loads(pickle.dumps(f)).fault_id == "bridge:0:x"
+
     def test_rejects_same_node(self):
         with pytest.raises(FaultModelError):
             BridgingFault(node_a="x", node_b="x", impact=1e4)
