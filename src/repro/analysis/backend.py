@@ -7,11 +7,11 @@ one question: *given this linearized system, factor it and solve some
 right-hand sides*.  This module answers it with two interchangeable
 implementations behind a single contract:
 
-* :class:`DenseLU` — SciPy ``lu_factor``/``lu_solve`` when available,
-  otherwise a NumPy explicit-inverse fallback.  This is the historical
-  path and stays the default for small systems: LAPACK on a 14-unknown
-  IV-converter Jacobian beats any sparse machinery by orders of
-  magnitude of constant factor.
+* :class:`DenseLU` — NumPy's LAPACK ``gesv`` through
+  :func:`solve_dense`, the one dense routine of the package.  It stays
+  the default for small systems: LAPACK on a 14-unknown IV-converter
+  Jacobian beats any sparse machinery by orders of magnitude of
+  constant factor.
 * :class:`SparseLU` — CSC assembly + ``scipy.sparse.linalg.splu``
   (SuperLU with COLAMD ordering).  Circuit matrices are structurally
   sparse (a handful of entries per row, independent of circuit size), so
@@ -32,22 +32,23 @@ solvers) uses it without calling :func:`select_backend` again.
 
 ``sparse`` degrades gracefully to dense when SciPy is absent — the
 package stays importable and functional on NumPy-only installs, and the
-CI matrix runs a scipy-less leg to prove it.
+CI matrix runs a scipy-less leg to prove it.  SciPy serves only the
+sparse kind, so a dense-kind result has the same bits with SciPy
+installed or not.
 
 Both factorization classes share the exact error contract the solver
 stack relies on: a singular (or non-finite) matrix raises
 :class:`~repro.errors.SingularMatrixError` at construction time, never
 returns garbage from :meth:`solve`.
 
-The dense routes are not bitwise interchangeable: :func:`solve_dense`
-(NumPy ``gesv``, what scalar Newton solves with) and :class:`DenseLU`
-(SciPy ``getrf``/``getrs``) can come from different LAPACK builds (the
-NumPy and SciPy wheels each bundle their own) and round differently in
-the last bit.  A caller that must reproduce
-Newton's bits, such as the linear transient stepper of
-:mod:`repro.analysis.transient`, solves the dense kind with
-:func:`solve_dense`; on the sparse kind both Newton and
-:class:`SparseLU` run SuperLU on the same CSC matrix.
+Every dense solve goes through :func:`solve_dense` (one system) or
+:func:`solve_stack` (a stack of systems, each slice solved by the
+one-matrix kernel), so scalar Newton, the linear transient stepper,
+:class:`DenseLU` and the batched screens round alike.  A right-hand
+side's shape is part of its bits: a k-column right-hand side does not
+give the single-column bits, so callers keep each system's shape.
+On the sparse kind both Newton and :class:`SparseLU` run SuperLU on the
+same CSC matrix.
 """
 
 from __future__ import annotations
@@ -59,13 +60,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.errors import AnalysisError, SingularMatrixError
-
-try:  # SciPy dense LU (optional): cached pivots instead of an inverse.
-    from scipy.linalg import LinAlgWarning as _ScipyLinAlgWarning
-    from scipy.linalg import lu_factor as _scipy_lu_factor
-    from scipy.linalg import lu_solve as _scipy_lu_solve
-except ImportError:  # pragma: no cover - environment-dependent
-    _scipy_lu_factor = _scipy_lu_solve = _ScipyLinAlgWarning = None
 
 try:  # SciPy sparse (optional): CSC + SuperLU for large systems.
     from scipy import sparse as _scipy_sparse
@@ -87,6 +81,7 @@ __all__ = [
     "select_backend",
     "solve_columns",
     "solve_dense",
+    "solve_stack",
     "sparse_available",
     "sparse_threshold",
     "static_operator",
@@ -193,11 +188,16 @@ def _check_square(a, what: str) -> int:
 
 
 class DenseLU:
-    """Dense LU factorization (SciPy pivots, NumPy-inverse fallback).
+    """Dense factorization on NumPy's LAPACK ``gesv``.
 
-    This is the historical :class:`~repro.analysis.mna.Factorization`
-    engine, extracted verbatim so both the facade and the batched
-    per-column fallbacks share one implementation.
+    Keeps a float copy of the matrix and solves each right-hand side
+    with :func:`solve_dense`, so its bits are those of every other dense
+    solve of the same system.  One probe solve at construction keeps the
+    contract of the module: a singular or non-finite matrix raises
+    :class:`~repro.errors.SingularMatrixError` here, not in
+    :meth:`solve`.  Each solve factors the matrix again, which costs
+    little below the sparse threshold, where the dense kind serves
+    every circuit when SciPy is installed.
     """
 
     backend = BACKEND_DENSE
@@ -205,28 +205,15 @@ class DenseLU:
     def __init__(self, matrix: np.ndarray) -> None:
         a = np.array(matrix, dtype=float)
         self.n = _check_square(a, "factorization")
+        if not np.all(np.isfinite(a)):
+            raise SingularMatrixError(
+                "singular matrix in factorization: non-finite entries")
         try:
-            if _scipy_lu_factor is not None:
-                with warnings.catch_warnings():
-                    # SciPy warns on exact zero pivots; the explicit
-                    # singularity check below raises instead.
-                    warnings.simplefilter("ignore", _ScipyLinAlgWarning)
-                    self._lu_piv = _scipy_lu_factor(a)
-                self._inv = None
-            else:
-                self._lu_piv = None
-                self._inv = np.linalg.inv(a)
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            solve_dense(a, np.zeros(self.n))
+        except SingularMatrixError as exc:
             raise SingularMatrixError(
                 f"singular matrix in factorization: {exc}") from exc
-        if self._lu_piv is not None:
-            # SciPy's lu_factor only *warns* on an exact zero pivot;
-            # match numpy.linalg.solve and fail loudly instead.
-            diagonal = np.diagonal(self._lu_piv[0])
-            if (not np.all(np.isfinite(self._lu_piv[0]))
-                    or np.any(diagonal == 0.0)):
-                raise SingularMatrixError(
-                    "singular matrix in factorization: zero pivot")
+        self._a = a
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -234,9 +221,7 @@ class DenseLU:
             raise AnalysisError(
                 f"RHS has leading dimension {rhs.shape[0]}, "
                 f"factorization is {self.n}x{self.n}")
-        if self._inv is not None:
-            return self._inv @ rhs
-        return _scipy_lu_solve(self._lu_piv, rhs)
+        return solve_dense(self._a, rhs)
 
 
 class SparseLU:
@@ -328,7 +313,7 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     this module touches ``numpy.linalg`` directly (the contract enforced
     by ``tools/lint_repro.py``).  Unlike the LU classes this supports
     complex dtypes and stacked (batched) operands, which is what the AC
-    sweep and the batched SMW capacitance solves need.
+    sweep and :func:`solve_stack` need.
 
     Raises:
         SingularMatrixError: if LAPACK reports a singular system.
@@ -337,6 +322,31 @@ def solve_dense(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
+
+
+def solve_stack(matrices: np.ndarray,
+                rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``matrices[j] @ x[j] = rhs[j]`` for every slice *j*.
+
+    One stacked ``gesv`` call, which runs the one-matrix kernel on each
+    slice.  LAPACK rejects the whole stack when one slice is singular;
+    then every slice is solved alone, with the same right-hand-side
+    shape, so each slice keeps the bits the stacked call gives it.
+    Returns ``(x, singular)``: *x* stacks the solutions (NaN in a
+    singular slice) and *singular* flags the slices LAPACK rejected.
+    """
+    singular = np.zeros(len(matrices), dtype=bool)
+    try:
+        return solve_dense(matrices, rhs), singular
+    except SingularMatrixError:
+        pass
+    x = np.full(np.shape(rhs), np.nan)
+    for j, matrix in enumerate(matrices):
+        try:
+            x[j] = solve_dense(matrix, rhs[j])
+        except SingularMatrixError:
+            singular[j] = True
+    return x, singular
 
 
 def static_operator(a_static: np.ndarray, kind: str):
@@ -364,11 +374,10 @@ def solve_columns(matrices: np.ndarray, rhs: np.ndarray,
     carry ``x[:, k] == 0`` and ``singular[k] == True`` — callers mark
     them dead instead of catching exceptions per column.
 
-    Dense kind: one batched LAPACK call serves every column; only if
-    LAPACK rejects the whole stack (one singular member) does the loop
-    fall back to per-column :class:`DenseLU` — factor once, solve once,
-    flag the singular members.  Sparse kind: per-column CSC + SuperLU,
-    which keeps the cost near-linear in *n* per column.
+    Dense kind: :func:`solve_stack` with one single-column right-hand
+    side per matrix, so each column is bitwise the scalar Newton solve
+    of its own system.  Sparse kind: per-column CSC + SuperLU, which
+    keeps the cost near-linear in *n* per column.
     """
     n_cols = rhs.shape[1] if rhs.ndim == 2 else 0
     out = np.zeros_like(rhs, dtype=float)
@@ -382,15 +391,7 @@ def solve_columns(matrices: np.ndarray, rhs: np.ndarray,
             except SingularMatrixError:
                 singular[k] = True
         return out, singular
-    try:
-        out[:, :] = np.linalg.solve(
-            matrices, rhs.T[:, :, None])[:, :, 0].T
-        return out, singular
-    except np.linalg.LinAlgError:
-        out[:, :] = 0.0
-    for k in range(n_cols):
-        try:
-            out[:, k] = DenseLU(matrices[k]).solve(rhs[:, k])
-        except SingularMatrixError:
-            singular[k] = True
+    x, singular = solve_stack(matrices, rhs.T[:, :, None])
+    out[:, :] = x[:, :, 0].T
+    out[:, singular] = 0.0
     return out, singular

@@ -49,7 +49,7 @@ import numpy as np
 from repro.analysis.backend import (
     BACKEND_DENSE,
     solve_columns,
-    solve_dense,
+    solve_stack,
     static_operator,
 )
 from repro.analysis.mna import CompiledCircuit, Factorization
@@ -57,7 +57,7 @@ from repro.analysis.newton import absolute_tolerances, step_converged
 from repro.analysis.options import DEFAULT_OPTIONS, SimOptions
 from repro.circuit.diode import diode_eval
 from repro.circuit.mosfet import Level1Bank, mos_level1_bank
-from repro.errors import AnalysisError, SingularMatrixError
+from repro.errors import AnalysisError
 
 __all__ = ["ScreenedSolution", "BatchedOverlaySolver",
            "MonteCarloOverlaySolver"]
@@ -191,7 +191,7 @@ class _StampStack:
         size = z_all.shape[0]
         stamps = self.offsets[cols][:, None] + np.arange(rank)
         m_t = np.empty((cols.size, rank, size))
-        ok = np.ones(cols.size, dtype=bool)
+        bad = np.empty(cols.size, dtype=bool)
         step = max(1, _CHUNK_BYTES // (8 * rank * (rank + 2 * size)))
         diag = np.arange(rank)
         for lo in range(0, cols.size, step):
@@ -203,16 +203,10 @@ class _StampStack:
                 cap[:, diag, diag] += 1.0 / self.sg[chunk]
             cap_t = np.swapaxes(cap, 1, 2)
             z_t = z_all[:, chunk].transpose(1, 2, 0)
-            try:
-                m_t[lo:lo + step] = solve_dense(cap_t, z_t)
-            except SingularMatrixError:
-                for j in range(chunk.shape[0]):
-                    try:
-                        m_t[lo + j] = solve_dense(cap_t[j], z_t[j])
-                    except SingularMatrixError:
-                        ok[lo + j] = False
-        if not ok.all():
-            self.singular[cols[~ok]] = True
+            m_t[lo:lo + step], bad[lo:lo + step] = solve_stack(cap_t, z_t)
+        if bad.any():
+            self.singular[cols[bad]] = True
+            ok = ~bad
             cols, stamps, m_t = cols[ok], stamps[ok], m_t[ok]
         self.groups.append((cols, self.sp[stamps], self.sn[stamps],
                             np.swapaxes(m_t, 1, 2)))

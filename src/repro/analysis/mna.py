@@ -93,10 +93,11 @@ class Factorization:
     right-hand side — including whole matrices of stacked per-fault RHS
     columns — costs only triangular solves.
 
-    Backends (see :mod:`repro.analysis.backend`): dense SciPy
-    ``lu_factor``/``lu_solve`` (NumPy explicit-inverse fallback on
-    SciPy-less installs) for small systems, CSC + ``splu`` (SuperLU) for
-    large ones.  Selection is automatic by system size; the
+    Backends (see :mod:`repro.analysis.backend`): NumPy's ``gesv`` for
+    small systems (:class:`~repro.analysis.backend.DenseLU`, which
+    solves each right-hand side as every other dense solve does, with
+    SciPy installed or not), CSC + ``splu`` (SuperLU) for large ones.
+    Selection is automatic by system size; the
     ``REPRO_BACKEND=dense|sparse|auto`` environment override and the
     *mode* argument pin it explicitly.
 

@@ -15,21 +15,22 @@ conductances, G + 2C/dt under the trapezoidal rule.  Its transient
 assembles that step matrix once and then solves one right-hand side per
 step, the sources at t_k plus the companion currents
 (:meth:`~repro.analysis.mna.CompiledCircuit.step_rhs`), with the routine
-each Newton iteration uses on it: ``gesv`` on the dense kind
-(:func:`~repro.analysis.backend.solve_dense`), SuperLU on the same CSC
-matrix on the sparse kind, where the matrix is factored once through
+each Newton iteration uses on it: NumPy's ``gesv`` on the dense kind,
+the package's one dense routine, SuperLU on the same CSC matrix on the
+sparse kind, where the matrix is factored once through
 :class:`~repro.analysis.mna.Factorization`.  Each Newton iteration of
 such a step solves that same system to the same solution, so the step
 replays Newton's update arithmetic on it and returns Newton's iterate to
-the bit.
+the bit, with SciPy installed or not.
 
 A fault family runs in lockstep.  Given one overlay (a fault's
 conductance stamps) and one DC operating point per column,
 :func:`transient` assembles each column's own step matrix once; each
 step then builds every column's right-hand side together and solves all
-columns at once: one stacked ``gesv`` call on the dense kind, which runs
-the per-matrix kernel on each slice, and SuperLU per column on the
-sparse kind.  Newton's update is replayed per column.  So a column's
+columns at once: one :func:`~repro.analysis.backend.solve_stack` on the
+dense kind, whose stacked ``gesv`` runs the one-matrix kernel on each
+slice, and SuperLU per column on the sparse kind.  Newton's update is
+replayed per column.  So a column's
 waveform is bitwise the one the per-step Newton loop gives for that
 fault alone, whatever its neighbours; a single transient is the
 one-column case of the same stepper.
@@ -51,7 +52,7 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from repro.analysis.backend import BACKEND_SPARSE, solve_dense
+from repro.analysis.backend import BACKEND_SPARSE, solve_stack
 from repro.analysis.mna import CompiledCircuit, Factorization
 from repro.analysis.newton import (
     absolute_tolerances,
@@ -246,16 +247,11 @@ class _ColumnStepper:
             for j, lu in enumerate(self._matrices):
                 s[:, j] = lu.solve(rhs[:, j])
             return s
-        try:
-            return solve_dense(self._matrices, rhs.T[:, :, None])[:, :, 0].T
-        except SingularMatrixError:
-            s = np.full_like(rhs, np.nan)
-            for j, g in enumerate(self._matrices):
-                try:
-                    s[:, j] = solve_dense(g, rhs[:, j])
-                except SingularMatrixError:
-                    pass
-            return s
+        s, singular = solve_stack(self._matrices, rhs.T[:, :, None])
+        s = s[:, :, 0].T
+        # A retried stack goes on C-ordered, like rhs: the layout the
+        # steps after a singular column are checked on bitwise.
+        return s.copy() if singular.any() else s
 
     def _newton_iterate(self, x: np.ndarray, s: np.ndarray,
                         ) -> tuple[np.ndarray, np.ndarray | None]:

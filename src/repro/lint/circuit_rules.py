@@ -32,6 +32,7 @@ from repro.lint.core import (
     rule,
 )
 from repro.lint.structure import (
+    UnionFind,
     build_pattern,
     canonical,
     dc_components,
@@ -64,6 +65,15 @@ def _ready(ctx: LintContext) -> bool:
 
 def _location(ctx: LintContext) -> str:
     return f"circuit {ctx.circuit.name!r}" if ctx.circuit else "circuit"
+
+
+def _dc_components(ctx: LintContext) -> UnionFind:
+    """The circuit's DC union-find, built once per lint run and shared
+    by every rule that asks (a lookup only compresses paths)."""
+    uf = ctx.cache.get("dc_components")
+    if uf is None:
+        uf = ctx.cache["dc_components"] = dc_components(ctx.circuit)
+    return uf
 
 
 @rule("circuit.empty", scope="circuit", severity=ERROR,
@@ -119,7 +129,7 @@ def check_dangling(ctx: LintContext):
 def check_dc_path(ctx: LintContext):
     if not _ready(ctx):
         return
-    uf = dc_components(ctx.circuit)
+    uf = _dc_components(ctx)
     ground_root = uf.find("0")
     for node in ctx.circuit.nodes():
         if uf.find(canonical(node)) != ground_root:
@@ -280,7 +290,7 @@ def check_floating_gate(ctx: LintContext):
     if not _ready(ctx):
         return
     circuit = ctx.circuit
-    uf = dc_components(circuit)
+    uf = _dc_components(ctx)
     ground_root = uf.find("0")
     floating: dict[str, list[str]] = {}
     for device in circuit.elements_of_type(Mosfet):
@@ -304,7 +314,7 @@ def check_isource_cutset(ctx: LintContext):
     if not _ready(ctx):
         return
     circuit = ctx.circuit
-    uf = dc_components(circuit)
+    uf = _dc_components(ctx)
     for source in circuit.elements_of_type(CurrentSource):
         a, b = canonical(source.n1), canonical(source.n2)
         if uf.find(a) != uf.find(b):

@@ -15,19 +15,17 @@ is centred on zero.  The split into simulate/post-process lets the
 execution engine cache nominal simulations across the thousands of
 fault-simulation calls behind a generation run.
 
-Each procedure offers two simulation paths:
-
-* :meth:`MeasurementProcedure.simulate_compiled` — the one path faults
-  are simulated on, driven by
-  :class:`repro.analysis.engine.SimulationEngine`: the stimulus
-  parameters are *patched* into an already-compiled circuit
-  (:meth:`CompiledCircuit.patched_source`) and the DC solve warm-starts
-  from the engine-provided :class:`~repro.analysis.engine.WarmStart`
-  slot.  No netlist copy, no compilation.
-* :meth:`MeasurementProcedure.simulate` — the reference path: derive a
-  stimulated netlist copy and compile it.  Only the engine's
-  ``validate_overlay`` cross-check and box-function calibration (on
-  per-sample process variants) call it.
+Each procedure has one simulation path,
+:meth:`MeasurementProcedure.simulate_compiled`: the stimulus parameters
+are *patched* into an already-compiled circuit
+(:meth:`CompiledCircuit.patched_source`) and the DC solve warm-starts
+from the :class:`~repro.analysis.engine.WarmStart` slot
+:class:`repro.analysis.engine.SimulationEngine` provides.  No netlist
+copy, no compilation.  :meth:`MeasurementProcedure.simulate` serves a
+netlist on the same path: it compiles the circuit and simulates it from
+a cold start.  Box-function calibration (on per-sample process
+variants) and the engine's ``validate_overlay`` cross-check (on the
+copied faulty netlist) call it.
 
 :class:`StepProcedure` also has a column entry point,
 :meth:`StepProcedure.simulate_columns`: a whole fault family on one
@@ -53,7 +51,6 @@ import numpy as np
 
 from repro.analysis import SimOptions, DEFAULT_OPTIONS, operating_point, transient
 from repro.analysis.mna import CompiledCircuit
-from repro.circuit.elements import CurrentSource, VoltageSource
 from repro.circuit.netlist import Circuit
 from repro.errors import AnalysisError, TestGenerationError
 from repro.measure import thd_percent
@@ -111,22 +108,25 @@ class MeasurementProcedure(ABC):
     #: three ``screening_*``/``raw_from_solution`` hooks below.
     supports_screening: bool = False
 
-    @abstractmethod
     def simulate(self, circuit: Circuit, params: Mapping[str, float],
                  options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        """Apply the stimulus for *params* and return the raw observation."""
+        """Apply the stimulus for *params* to *circuit* and return the
+        raw observation: :meth:`simulate_compiled` on the compiled
+        circuit, from a cold start."""
+        return self.simulate_compiled(CompiledCircuit(circuit), params,
+                                      options)
 
     @abstractmethod
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],
                           options: SimOptions = DEFAULT_OPTIONS,
                           warm=None) -> np.ndarray:
-        """Compile-once variant of :meth:`simulate`.
+        """Apply the stimulus for *params* and return the raw observation.
 
         Patches the stimulus into *compiled* (which may carry a fault
-        overlay) instead of deriving a netlist copy, warm-starting the
-        DC solve from *warm* (a :class:`repro.analysis.engine.WarmStart`)
-        when provided.  Must leave *compiled* unmodified on exit.
+        overlay), warm-starting the DC solve from *warm* (a
+        :class:`repro.analysis.engine.WarmStart`) when provided.  Must
+        leave *compiled* unmodified on exit.
         """
 
     # ------------------------------------------------------------------
@@ -182,16 +182,6 @@ class MeasurementProcedure(ABC):
         (instrument error is specified relative to the reading).
         """
 
-    def _swap_stimulus(self, circuit: Circuit, source_name: str,
-                       waveform: Waveform) -> Circuit:
-        """Replace the stimulus source's waveform (type-preserving)."""
-        element = circuit.element(source_name)
-        if not isinstance(element, (CurrentSource, VoltageSource)):
-            raise TestGenerationError(
-                f"stimulus element {source_name!r} is not a source")
-        return circuit.replace_element(
-            type(element)(element.name, element.n1, element.n2, waveform))
-
     def _patch_stimulus(self, compiled: CompiledCircuit, source_name: str,
                         waveform: Waveform):
         """Scoped in-place stimulus patch on a compiled circuit."""
@@ -233,13 +223,6 @@ class DCProcedure(MeasurementProcedure):
         self.level_param = level_param
         self.probes = probes
         self.n_return_values = len(probes)
-
-    def simulate(self, circuit: Circuit, params: Mapping[str, float],
-                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        level = params[self.level_param]
-        stimulated = self._swap_stimulus(circuit, self.source, DCWave(level))
-        op = operating_point(stimulated, options)
-        return np.array([probe.read(op) for probe in self.probes])
 
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],
@@ -324,16 +307,6 @@ class SineTHDProcedure(MeasurementProcedure):
                           self.analysis_periods, self.n_harmonics)
         return np.array([thd])
 
-    def simulate(self, circuit: Circuit, params: Mapping[str, float],
-                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        wave = self._stimulus(params)
-        stimulated = self._swap_stimulus(circuit, self.source, wave)
-        total_periods = self.settle_periods + self.analysis_periods
-        dt = 1.0 / (self.samples_per_period * wave.freq)
-        result = transient(stimulated, t_stop=total_periods / wave.freq,
-                           dt=dt, options=options)
-        return self._thd_of(result)
-
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],
                           options: SimOptions = DEFAULT_OPTIONS,
@@ -399,14 +372,6 @@ class StepProcedure(MeasurementProcedure):
         return StepWave(base=params[self.base_param],
                         elev=params[self.elev_param],
                         t_step=self.t_step, slew_rate=self.slew_rate)
-
-    def simulate(self, circuit: Circuit, params: Mapping[str, float],
-                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        stimulated = self._swap_stimulus(circuit, self.source,
-                                         self._wave(params))
-        result = transient(stimulated, t_stop=self.test_time,
-                           dt=1.0 / self.sample_rate, options=options)
-        return result.v(self.observe)
 
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],
@@ -519,20 +484,6 @@ class ACGainProcedure(MeasurementProcedure):
         magnitude = float(np.abs(result.v(self.observe)[0]))
         gain_db = 20.0 * np.log10(max(magnitude, 10.0**(self.floor_db / 20)))
         return np.array([gain_db])
-
-    def simulate(self, circuit: Circuit, params: Mapping[str, float],
-                 options: SimOptions = DEFAULT_OPTIONS) -> np.ndarray:
-        from repro.analysis import ac_analysis  # local: avoids wide import
-
-        freq = params[self.freq_param]
-        if freq <= 0.0:
-            raise TestGenerationError(f"AC frequency must be > 0: {freq}")
-        if self.bias_param is not None:
-            circuit = self._swap_stimulus(
-                circuit, self.source, DCWave(params[self.bias_param]))
-        result = ac_analysis(circuit, self.source, np.array([freq]),
-                             options)
-        return self._gain_db(result)
 
     def simulate_compiled(self, compiled: CompiledCircuit,
                           params: Mapping[str, float],

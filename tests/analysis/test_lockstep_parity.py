@@ -23,11 +23,6 @@ from __future__ import annotations
 
 import functools
 import importlib
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +42,7 @@ from repro.macros import get_macro
 from repro.testgen import TestExecutor as Executor
 from repro.tolerance.corners import apply_corner
 from repro.waveforms import StepWave
+from scipy_hidden import run_without_scipy
 
 transient_module = importlib.import_module("repro.analysis.transient")
 batched_module = importlib.import_module("repro.analysis.batched")
@@ -368,13 +364,6 @@ class TestLockstepScreen:
 
 
 _SCIPY_HIDDEN_CHECK = """
-import sys
-for name in ("scipy", "scipy.linalg", "scipy.sparse", "scipy.sparse.linalg"):
-    sys.modules[name] = None
-sys.path.insert(0, {tests!r})
-import test_lockstep_parity as t
-from repro.analysis.backend import sparse_available
-assert not sparse_available()
 t.TestLockstepTransient().test_rc("trap")
 t.TestLockstepTransient().test_sparse_ladder()
 t.TestLockstepTransient().test_singular_step_matrix_column_fails_alone()
@@ -389,16 +378,8 @@ print("ok")
 def test_parity_with_scipy_hidden():
     """The dense kind, NumPy only: the SciPy-less world of CI's
     statistical job, reproduced in a subprocess."""
-    here = Path(__file__).resolve().parent
-    src = here.parents[1] / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(
-               [str(src), os.environ.get("PYTHONPATH", "")])}
-    code = textwrap.dedent(_SCIPY_HIDDEN_CHECK.format(tests=str(here)))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr[-3000:]
-    assert done.stdout.strip().endswith("ok")
+    stdout = run_without_scipy("test_lockstep_parity", _SCIPY_HIDDEN_CHECK)
+    assert stdout.strip().endswith("ok")
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,10 @@ from repro.testgen import execution
 needs_scipy = pytest.mark.skipif(not sparse_available(),
                                  reason="scipy.sparse unavailable")
 
+#: The factorizations the error contract covers: the dense one on
+#: NumPy alone, the sparse one where SciPy is installed.
+LU_CLASSES = (DenseLU, SparseLU) if sparse_available() else (DenseLU,)
+
 
 def _random_system(rng, n, k=3):
     """A well-conditioned sparse-ish test system with k RHS columns."""
@@ -121,26 +125,23 @@ class TestFactorizationParity:
                                    DenseLU(a).solve(b),
                                    rtol=1e-9, atol=1e-12)
 
-    @needs_scipy
     def test_singular_raises_at_construction(self):
         singular = np.zeros((6, 6))
         singular[0, 0] = 1.0
-        for cls in (DenseLU, SparseLU):
+        for cls in LU_CLASSES:
             with pytest.raises(SingularMatrixError):
                 cls(singular)
 
-    @needs_scipy
     def test_nonfinite_raises(self):
         bad = np.eye(4)
         bad[2, 2] = np.nan
-        for cls in (DenseLU, SparseLU):
+        for cls in LU_CLASSES:
             with pytest.raises(SingularMatrixError):
                 cls(bad)
 
-    @needs_scipy
     def test_rhs_dimension_mismatch(self, rng):
         a, _ = _random_system(rng, 8)
-        for cls in (DenseLU, SparseLU):
+        for cls in LU_CLASSES:
             with pytest.raises(AnalysisError, match="leading dimension"):
                 cls(a).solve(np.ones(9))
 

@@ -7,10 +7,11 @@ The two satellite contracts of the scenario engine live here:
   manifests (the campaign-level analog of the sharding suite's
   guarantee);
 * **golden-manifest regression** — the committed fixture
-  (``fixtures/golden_manifest.jsonl``: 3 topologies x 2 corners; without
-  SciPy, ``fixtures/golden_manifest_numpy_lu.jsonl``) must be reproduced
-  record for record, pinning scenario ids, fault counts, coverage and
-  verdict digests across refactors.
+  (``fixtures/golden_manifest.jsonl``: 3 topologies x 2 corners) must be
+  reproduced record for record, pinning scenario ids, fault counts,
+  coverage and verdict digests across refactors.  It holds with SciPy
+  installed or not: SciPy serves only the sparse kind, and every cell
+  here solves on the dense kind.
 """
 
 from pathlib import Path
@@ -184,25 +185,11 @@ class TestManifestRoundTrip:
         assert 0.0 < summary["mean_coverage"] <= 1.0
 
 
-def _golden_fixture() -> Path:
-    """The committed manifest of the dense LU this process factorizes with.
-
-    SciPy's ``lu_factor`` and NumPy's fallback (an explicit inverse) move
-    S_f bits differently, so the four nonlinear cells' verdict digests
-    differ between the two worlds while every count matches; each world
-    has its own bitwise fixture.
-    """
-    from repro.analysis import backend
-
-    if backend._scipy_lu_factor is None:
-        return FIXTURES / "golden_manifest_numpy_lu.jsonl"
-    return FIXTURES / "golden_manifest.jsonl"
-
-
 class TestGoldenManifest:
     def test_golden_campaign_reproduces_fixture(self, tmp_path):
         """3 topologies x 2 corners reproduce the committed manifest."""
         spec = load_spec(FIXTURES / "golden.toml")
         fresh = tmp_path / "golden.jsonl"
         run_campaign(spec, fresh, n_jobs=2)
-        assert fresh.read_text() == _golden_fixture().read_text()
+        assert fresh.read_text() == (
+            FIXTURES / "golden_manifest.jsonl").read_text()

@@ -1,8 +1,12 @@
 """Direct tests of the measurement procedures (beyond macro usage)."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from repro.analysis import DEFAULT_OPTIONS
+from repro.analysis.mna import CompiledCircuit
 from repro.circuit import CircuitBuilder
 from repro.errors import TestGenerationError
 from repro.testgen import (
@@ -12,6 +16,7 @@ from repro.testgen import (
     SineTHDProcedure,
     StepProcedure,
 )
+from repro.waveforms import DCWave, SineWave, StepWave
 
 
 @pytest.fixture()
@@ -155,3 +160,73 @@ class TestACGainProcedure:
         procedure = ACGainProcedure("VIN", "out")
         with pytest.raises(TestGenerationError):
             procedure.simulate(rc_lowpass, {"freq": -1.0})
+
+
+def _stimulus(procedure, params):
+    """The waveform *procedure* applies for *params*, built from its
+    public settings."""
+    if isinstance(procedure, DCProcedure):
+        return DCWave(params[procedure.level_param])
+    if isinstance(procedure, SineTHDProcedure):
+        dc = params[procedure.dc_param]
+        return SineWave(offset=dc, amplitude=procedure.amplitude_ratio * dc,
+                        freq=params[procedure.freq_param])
+    if isinstance(procedure, StepProcedure):
+        return StepWave(base=params[procedure.base_param],
+                        elev=params[procedure.elev_param],
+                        t_step=procedure.t_step,
+                        slew_rate=procedure.slew_rate)
+    return DCWave(params[procedure.bias_param])
+
+
+def _netlist_swap_observation(procedure, circuit, params, options,
+                              monkeypatch):
+    """The observation of *circuit* with the stimulus swapped in the
+    netlist (:meth:`Circuit.replace_element`), the compiled patch
+    switched off."""
+    element = circuit.element(procedure.source)
+    swapped = circuit.replace_element(type(element)(
+        element.name, element.n1, element.n2, _stimulus(procedure, params)))
+    compiled = CompiledCircuit(swapped)
+    with monkeypatch.context() as patch:
+        patch.setattr(CompiledCircuit, "patched_source",
+                      lambda self, name, waveform: nullcontext())
+        return procedure.simulate_compiled(compiled, params, options)
+
+
+class TestStimulusPatch:
+    """``simulate`` patches the stimulus into the compiled netlist; it
+    observes what a netlist-level swap of the source's waveform
+    observes, bit for bit."""
+
+    @pytest.mark.parametrize("config_name", ["dc-output", "thd", "step-max"])
+    def test_iv_converter(self, iv_macro, config_name, monkeypatch):
+        configuration = {c.name: c for c in iv_macro.test_configurations()}[
+            config_name]
+        bounds = configuration.parameters
+        params = {p.name: p.lower + 0.37 * (p.upper - p.lower)
+                  for p in bounds}
+        variant = iv_macro.process_variation.sample(
+            iv_macro.circuit, np.random.default_rng(7))
+        for circuit in (iv_macro.circuit, variant):
+            got = configuration.procedure.simulate(circuit, params,
+                                                   iv_macro.options)
+            expect = _netlist_swap_observation(
+                configuration.procedure, circuit, params, iv_macro.options,
+                monkeypatch)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          expect.view(np.int64))
+
+    def test_ac_bias(self, monkeypatch):
+        circuit = (CircuitBuilder("nl")
+                   .voltage_source("VIN", "in", "0", 0.2)
+                   .resistor("R1", "in", "out", 1e3)
+                   .diode("D1", "out", "0")
+                   .build())
+        procedure = ACGainProcedure("VIN", "out", bias_param="bias")
+        params = {"bias": 0.7, "freq": 1e3}
+        got = procedure.simulate(circuit, params)
+        expect = _netlist_swap_observation(procedure, circuit, params,
+                                           DEFAULT_OPTIONS, monkeypatch)
+        np.testing.assert_array_equal(got.view(np.int64),
+                                      expect.view(np.int64))
